@@ -4,21 +4,26 @@
 // the streaming path's perf trajectory is tracked across PRs, alongside
 // BENCH_sgd.json for the batch trainer.
 //
-// Rows: full-rebuild mode at 1 thread (the pre-port behavior, via
-// incremental_sampler=false) plus the incremental-sampler path at
-// 1/2/4/8 threads on the persistent pool, plus the sparse-stream
-// pure-decay column (empty Ingest() ticks, where the version-stamped
-// sampler cache short-circuits every rebuild). A "sharding" section
-// repeats the steady-state ingest with the ownership-partitioned trainer
-// at 1/2/4 shards (one worker per shard). See EXPERIMENTS.md for the
-// machine-drift caveat and docs/sharding.md for the 1-core caveat on the
-// shard rows before comparing against committed numbers.
+// "throughput" rows, all on one shard and one thread: full-rebuild mode
+// (the pre-port behavior, via incremental_sampler=false), the
+// incremental-sampler path, and the sparse-stream pure-decay column (empty
+// Ingest() ticks, where the version-stamped sampler cache short-circuits
+// every rebuild). The "sharding" section carries the parallel column: the
+// same steady-state ingest at 1/2/4 shards, one worker per shard (its
+// 1-shard row is the incremental row). Every row is the median of
+// kRepeats runs, with the min/max batches/s beside it; the repeats run
+// round-robin across configurations, so slow drift on a shared host
+// lands on every row alike instead of on whichever ran last. See
+// EXPERIMENTS.md for the machine-drift caveat before comparing against
+// committed numbers.
 //
 // Usage: online_throughput [--records=12000] [--batches=12] [--dim=32]
 //                          [--pure_decay_ticks=6] [--out=BENCH_online.json]
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,42 +33,54 @@
 #include "data/synthetic.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "util/vec_math.h"
 
 namespace actor {
 namespace {
 
-struct OnlineRow {
-  std::string sampler;  // "full_rebuild", "incremental", or "pure_decay"
-  int threads = 1;
-  double batches_per_sec = 0.0;
-  double records_per_sec = 0.0;
-};
+/// Runs per configuration; each row reports their median.
+constexpr int kRepeats = 5;
 
 struct Workload {
   std::vector<std::vector<TokenizedRecord>> stream;
 };
 
-/// One timed run over the shared stream. Warm-up ingests bootstrap the
-/// unit catalogue and edge store so the timed section measures the
-/// steady-state decay -> refresh -> re-embed cycle, not cold growth.
-OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
-                        int threads) {
-  OnlineRow row;
-  row.sampler = incremental ? "incremental" : "full_rebuild";
-  row.threads = threads;
+/// One run's rates; batches_per_sec < 0 marks a failed run.
+struct Rate {
+  double batches_per_sec = -1.0;
+  double records_per_sec = 0.0;
+};
 
+/// Median of kRepeats runs plus the batches/s spread.
+struct OnlineRow {
+  std::string sampler;  // "full_rebuild", "incremental" or "pure_decay"
+  int shards = 1;
+  double batches_per_sec = 0.0;
+  double records_per_sec = 0.0;
+  double batches_per_sec_min = 0.0;
+  double batches_per_sec_max = 0.0;
+};
+
+OnlineActorOptions StreamOptions(int32_t dim, bool incremental, int shards) {
   OnlineActorOptions options;
   options.dim = dim;
   options.decay_per_batch = 0.7;
   options.samples_per_edge_per_batch = 3.0;
   options.incremental_sampler = incremental;
-  options.num_threads = threads;
+  options.num_shards = shards;
+  options.num_threads = shards;
+  return options;
+}
+
+/// One timed run over the shared stream. Warm-up ingests bootstrap the
+/// unit catalogue and edge store so the timed section measures the
+/// steady-state decay -> refresh -> re-embed cycle, not cold growth.
+Rate MeasureIngest(const Workload& work, const OnlineActorOptions& options) {
+  Rate rate;
   auto model = OnlineActor::Create(options);
   if (!model.ok()) {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
+    return rate;
   }
   const int batches = static_cast<int>(work.stream.size());
   const int warm = batches / 3;
@@ -71,23 +88,23 @@ OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
   for (int i = 0; i < warm; ++i) {
     if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
       std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
+      return rate;
     }
   }
   Stopwatch timer;
   for (int i = warm; i < batches; ++i) {
     if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
       std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
+      return rate;
     }
     timed_records += work.stream[i].size();
   }
   const double secs = timer.ElapsedSeconds();
   if (secs > 0.0) {
-    row.batches_per_sec = static_cast<double>(batches - warm) / secs;
-    row.records_per_sec = static_cast<double>(timed_records) / secs;
+    rate.batches_per_sec = static_cast<double>(batches - warm) / secs;
+    rate.records_per_sec = static_cast<double>(timed_records) / secs;
   }
-  return row;
+  return rate;
 }
 
 /// Times `ticks` empty Ingest() calls — sparse-stream mode, where a time
@@ -97,97 +114,101 @@ OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
 /// (no alias rebuild); the contrast with the incremental rows is the cost
 /// of the accumulate + refresh phases. records_per_sec stays 0 — a decay
 /// tick carries no records.
-OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int threads,
-                           int ticks) {
-  OnlineRow row;
-  row.sampler = "pure_decay";
-  row.threads = threads;
-
-  OnlineActorOptions options;
-  options.dim = dim;
-  options.decay_per_batch = 0.7;
-  options.samples_per_edge_per_batch = 3.0;
-  options.incremental_sampler = true;
-  options.num_threads = threads;
+Rate MeasurePureDecay(const Workload& work, const OnlineActorOptions& options,
+                      int ticks) {
+  Rate rate;
   auto model = OnlineActor::Create(options);
   if (!model.ok()) {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
+    return rate;
   }
   for (const auto& batch : work.stream) {
     if (auto st = model->Ingest(batch); !st.ok()) {
       std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
+      return rate;
     }
   }
   Stopwatch timer;
   for (int i = 0; i < ticks; ++i) {
     if (auto st = model->Ingest({}); !st.ok()) {
       std::fprintf(stderr, "decay tick: %s\n", st.ToString().c_str());
-      return row;
+      return rate;
     }
   }
   const double secs = timer.ElapsedSeconds();
   if (secs > 0.0) {
-    row.batches_per_sec = static_cast<double>(ticks) / secs;
+    rate.batches_per_sec = static_cast<double>(ticks) / secs;
   }
+  return rate;
+}
+
+/// One benchmarked configuration.
+struct Series {
+  std::string sampler;
+  int shards = 1;
+  std::function<Rate()> measure;
+};
+
+/// Runs every series kRepeats times, one run per series per round, so
+/// host drift is spread across all configurations. Returns each series'
+/// runs; a series stops at its first failed run.
+std::vector<std::vector<Rate>> RunRoundRobin(
+    const std::vector<Series>& series) {
+  std::vector<std::vector<Rate>> runs(series.size());
+  for (int round = 0; round < kRepeats; ++round) {
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      if (!runs[i].empty() && runs[i].back().batches_per_sec < 0.0) continue;
+      runs[i].push_back(series[i].measure());
+    }
+  }
+  return runs;
+}
+
+/// Folds a series' runs into one row: the median rates and the batches/s
+/// range. A failed run zeroes the row.
+OnlineRow Fold(const Series& series, const std::vector<Rate>& runs) {
+  OnlineRow row;
+  row.sampler = series.sampler;
+  row.shards = series.shards;
+  for (const Rate& r : runs) {
+    if (r.batches_per_sec < 0.0) return row;
+  }
+  auto median = [&runs](double Rate::*field) {
+    std::vector<double> v;
+    for (const Rate& r : runs) v.push_back(r.*field);
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  row.batches_per_sec = median(&Rate::batches_per_sec);
+  row.records_per_sec = median(&Rate::records_per_sec);
+  const auto [lo, hi] = std::minmax_element(
+      runs.begin(), runs.end(), [](const Rate& a, const Rate& b) {
+        return a.batches_per_sec < b.batches_per_sec;
+      });
+  row.batches_per_sec_min = lo->batches_per_sec;
+  row.batches_per_sec_max = hi->batches_per_sec;
   return row;
 }
 
-struct ShardRow {
-  int shards = 1;
-  double batches_per_sec = 0.0;
-  double records_per_sec = 0.0;
-};
-
-/// The sharding section's ingest side: the ownership-partitioned trainer
-/// at S shards, one worker per shard on a persistent pool. On a 1-core
-/// container the parallel shard epochs serialize, so shards > 1 mostly
-/// measures partitioning + remote-tile-refresh overhead rather than
-/// speedup — docs/sharding.md spells out the caveat; compare the column
-/// across commits, not across shard counts, unless the machine has the
-/// cores.
-ShardRow MeasureShardedIngest(const Workload& work, int32_t dim,
-                              int shards) {
-  ShardRow row;
-  row.shards = shards;
-
-  ThreadPool pool(shards);
-  OnlineActorOptions options;
-  options.dim = dim;
-  options.decay_per_batch = 0.7;
-  options.samples_per_edge_per_batch = 3.0;
-  options.num_shards = shards;
-  options.num_threads = shards;
-  options.pool = shards > 1 ? &pool : nullptr;
-  auto model = OnlineActor::Create(options);
-  if (!model.ok()) {
-    std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
+void WriteRows(std::ofstream& out, const char* section,
+               const std::vector<OnlineRow>& rows, bool with_sampler) {
+  char buf[256];
+  out << "  \"" << section << "\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const OnlineRow& r = rows[i];
+    std::string identity =
+        with_sampler ? "\"sampler\": \"" + r.sampler + "\", " : "";
+    std::snprintf(buf, sizeof(buf),
+                  "    {%s\"shards\": %d, \"batches_per_sec\": %.3f, "
+                  "\"records_per_sec\": %.1f, \"batches_per_sec_min\": %.3f, "
+                  "\"batches_per_sec_max\": %.3f}%s\n",
+                  identity.c_str(), r.shards, r.batches_per_sec,
+                  r.records_per_sec, r.batches_per_sec_min,
+                  r.batches_per_sec_max, i + 1 < rows.size() ? "," : "");
+    out << buf;
   }
-  const int batches = static_cast<int>(work.stream.size());
-  const int warm = batches / 3;
-  std::size_t timed_records = 0;
-  for (int i = 0; i < warm; ++i) {
-    if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
-    }
-  }
-  Stopwatch timer;
-  for (int i = warm; i < batches; ++i) {
-    if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
-    }
-    timed_records += work.stream[i].size();
-  }
-  const double secs = timer.ElapsedSeconds();
-  if (secs > 0.0) {
-    row.batches_per_sec = static_cast<double>(batches - warm) / secs;
-    row.records_per_sec = static_cast<double>(timed_records) / secs;
-  }
-  return row;
+  out << "  ],\n";
 }
 
 int Main(int argc, char** argv) {
@@ -237,42 +258,60 @@ int Main(int argc, char** argv) {
         .push_back(corpus->record(i));
   }
 
-  std::vector<OnlineRow> rows;
-  rows.push_back(MeasureIngest(work, dim, /*incremental=*/false, 1));
-  for (int threads : {1, 2, 4, 8}) {
-    rows.push_back(MeasureIngest(work, dim, /*incremental=*/true, threads));
-  }
+  const OnlineActorOptions full = StreamOptions(dim, false, 1);
+  const OnlineActorOptions incremental = StreamOptions(dim, true, 1);
+  std::vector<Series> series;
+  series.push_back({"full_rebuild", 1,
+                    [&] { return MeasureIngest(work, full); }});
+  series.push_back({"incremental", 1,
+                    [&] { return MeasureIngest(work, incremental); }});
   if (decay_ticks > 0) {
-    rows.push_back(MeasurePureDecay(work, dim, /*threads=*/1, decay_ticks));
+    series.push_back({"pure_decay", 1, [&] {
+                        return MeasurePureDecay(work, incremental,
+                                                decay_ticks);
+                      }});
   }
-  for (const auto& row : rows) {
-    std::printf("sampler=%-12s threads=%d  %.3f batches/s  %.1f records/s\n",
-                row.sampler.c_str(), row.threads, row.batches_per_sec,
-                row.records_per_sec);
+  const std::size_t num_throughput = series.size();
+  for (int shards : {2, 4}) {
+    series.push_back({"incremental", shards,
+                      [&work, options = StreamOptions(dim, true, shards)] {
+                        return MeasureIngest(work, options);
+                      }});
+  }
+  const std::vector<std::vector<Rate>> runs = RunRoundRobin(series);
+
+  std::vector<OnlineRow> rows;
+  std::vector<OnlineRow> shard_rows;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    OnlineRow row = Fold(series[i], runs[i]);
+    if (i < num_throughput) {
+      std::printf("sampler=%-12s shards=1  %.3f batches/s (%.3f..%.3f)  "
+                  "%.1f records/s\n",
+                  row.sampler.c_str(), row.batches_per_sec,
+                  row.batches_per_sec_min, row.batches_per_sec_max,
+                  row.records_per_sec);
+      // The 1-shard point of the sharding column is the incremental row.
+      if (row.sampler == "incremental") shard_rows.push_back(row);
+      rows.push_back(std::move(row));
+    } else {
+      std::printf("sharded ingest shards=%d  %.3f batches/s (%.3f..%.3f)  "
+                  "%.1f records/s\n",
+                  row.shards, row.batches_per_sec, row.batches_per_sec_min,
+                  row.batches_per_sec_max, row.records_per_sec);
+      shard_rows.push_back(std::move(row));
+    }
   }
 
-  std::vector<ShardRow> shard_rows;
-  for (int shards : {1, 2, 4}) {
-    shard_rows.push_back(MeasureShardedIngest(work, dim, shards));
-    const ShardRow& row = shard_rows.back();
-    std::printf("sharded ingest shards=%d  %.3f batches/s  %.1f records/s\n",
-                row.shards, row.batches_per_sec, row.records_per_sec);
-  }
-
-  auto find = [&rows](const std::string& sampler, int threads) {
+  auto find = [&rows](const std::string& sampler) {
     for (const auto& r : rows) {
-      if (r.sampler == sampler && r.threads == threads) {
-        return r.batches_per_sec;
-      }
+      if (r.sampler == sampler) return r.batches_per_sec;
     }
     return 0.0;
   };
-  const double full1 = find("full_rebuild", 1);
-  const double inc1 = find("incremental", 1);
-  const double inc8 = find("incremental", 8);
-  const double decay1 = find("pure_decay", 1);
+  const double full1 = find("full_rebuild");
+  const double inc1 = find("incremental");
+  const double decay1 = find("pure_decay");
   const double incremental_speedup = full1 > 0.0 ? inc1 / full1 : 0.0;
-  const double thread_speedup = inc1 > 0.0 ? inc8 / inc1 : 0.0;
   const double pure_decay_speedup = inc1 > 0.0 ? decay1 / inc1 : 0.0;
 
   std::ofstream out(out_path);
@@ -289,35 +328,13 @@ int Main(int argc, char** argv) {
       << ",\n";
   out << "  \"simd_available\": " << (Avx2Available() ? "true" : "false")
       << ",\n";
+  out << "  \"repeats\": " << kRepeats << ",\n";
+  WriteRows(out, "throughput", rows, /*with_sampler=*/true);
+  WriteRows(out, "sharding", shard_rows, /*with_sampler=*/false);
   char buf[160];
-  out << "  \"throughput\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"sampler\": \"%s\", \"threads\": %d, "
-                  "\"batches_per_sec\": %.3f, \"records_per_sec\": %.1f}%s\n",
-                  rows[i].sampler.c_str(), rows[i].threads,
-                  rows[i].batches_per_sec, rows[i].records_per_sec,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
-  out << "  \"sharding\": [\n";
-  for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"shards\": %d, \"batches_per_sec\": %.3f, "
-                  "\"records_per_sec\": %.1f}%s\n",
-                  shard_rows[i].shards, shard_rows[i].batches_per_sec,
-                  shard_rows[i].records_per_sec,
-                  i + 1 < shard_rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
   std::snprintf(buf, sizeof(buf),
                 "  \"incremental_sampler_speedup_1t\": %.3f,\n",
                 incremental_speedup);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"thread_speedup_8t_vs_1t\": %.3f,\n", thread_speedup);
   out << buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"pure_decay_speedup_vs_ingest_1t\": %.3f\n",
@@ -329,9 +346,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "write to %s failed\n", out_path.c_str());
     return 1;
   }
-  std::printf(
-      "wrote %s (incremental x%.2f at 1 thread, threads x%.2f at 8 vs 1)\n",
-      out_path.c_str(), incremental_speedup, thread_speedup);
+  std::printf("wrote %s (incremental sampler x%.2f, pure decay x%.2f)\n",
+              out_path.c_str(), incremental_speedup, pure_decay_speedup);
   return 0;
 }
 

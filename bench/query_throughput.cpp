@@ -7,12 +7,13 @@
 // Rows: single-thread steady-state queries/s against a fixed snapshot
 // (mode "single_thread"), multi-thread scaling on the same frozen
 // snapshot at 2/4/8 query threads (mode "parallel"), and the serving
-// contract's headline number — query threads running concurrently with a
-// live Ingest()+PublishSnapshot() writer (mode "concurrent_ingest"),
-// which exercises the SnapshotStore atomic slot under real contention.
-// A second section, "publish_cost", times the write side of the store:
-// microseconds per publish for the full-copy (delta_publish=false) path
-// vs the chunk-COW delta path at controlled dirty-row fractions.
+// contract's headline number — scatter-gather query threads running
+// concurrently with a live Ingest()+PublishShardedSnapshot() writer (mode
+// "concurrent_ingest"), which exercises the composite store's atomic slot
+// under real contention. A second section, "publish_cost", times the
+// write side of one shard: microseconds per publish for the full-copy
+// (delta_publish=false) path vs the chunk-COW delta path at controlled
+// dirty-row fractions.
 // A third section, "sharding", times single-thread scatter-gather
 // queries/s through ShardedQueryEngine at 1/2/4 shards against composite
 // snapshots of the same trained model (docs/sharding.md has the 1-core
@@ -63,13 +64,15 @@ struct QueryRow {
 
 /// Round-robins the probe queries of one worker: alternating location /
 /// hour / vector lookups so the measured mix touches the hotspot snap,
-/// the hour snap, and the raw matrix scan. Returns the number of
+/// the hour snap, and the raw matrix scan. Vector probes are rows of
+/// `rows` (a matrix of the engine's own snapshot). Works on the flat
+/// QueryEngine and on ShardedQueryEngine alike. Returns the number of
 /// successful queries (any failure short-circuits to 0 so a broken run
 /// cannot masquerade as a fast one).
-int64_t RunQueries(const QueryEngine& engine, const GeoPoint& probe,
-                   int64_t count, int k, int worker) {
+template <typename Engine>
+int64_t RunQueries(const Engine& engine, const ChunkedMatrix& rows,
+                   const GeoPoint& probe, int64_t count, int k, int worker) {
   int64_t ok = 0;
-  const ChunkedMatrix& center = engine.snapshot().center();
   for (int64_t i = 0; i < count; ++i) {
     switch ((i + worker) % 3) {
       case 0: {
@@ -84,9 +87,8 @@ int64_t RunQueries(const QueryEngine& engine, const GeoPoint& probe,
         break;
       }
       default: {
-        const VertexId q =
-            static_cast<VertexId>((i * 7 + worker) % center.rows());
-        auto r = engine.QueryByVector(center.row(q), VertexType::kWord, k, q);
+        const int32_t q = static_cast<int32_t>((i * 7 + worker) % rows.rows());
+        auto r = engine.QueryByVector(rows.row(q), VertexType::kWord, k);
         if (!r.ok()) return 0;
         break;
       }
@@ -106,18 +108,19 @@ QueryRow MeasureParallel(const OnlineActor& model, const GeoPoint& probe,
   auto snapshot = model.CurrentSnapshot();
   if (snapshot == nullptr) return row;
   QueryEngine engine(std::move(snapshot));
+  const ChunkedMatrix& rows = engine.snapshot().center();
 
   const int64_t per_worker = queries / threads;
   std::vector<int64_t> done(static_cast<std::size_t>(threads), 0);
   Stopwatch timer;
   if (threads == 1) {
-    done[0] = RunQueries(engine, probe, per_worker, k, 0);
+    done[0] = RunQueries(engine, rows, probe, per_worker, k, 0);
   } else {
     ThreadPool pool(threads);
     for (int t = 0; t < threads; ++t) {
       pool.Submit([&, t] {
         done[static_cast<std::size_t>(t)] =
-            RunQueries(engine, probe, per_worker, k, t);
+            RunQueries(engine, rows, probe, per_worker, k, t);
       });
     }
     pool.Wait();
@@ -139,8 +142,8 @@ QueryRow MeasureParallel(const OnlineActor& model, const GeoPoint& probe,
 }
 
 /// The serving contract under load: `threads` query workers re-acquire
-/// the latest snapshot every iteration while the ingest thread keeps
-/// training and publishing new versions. Measures queries/s over the
+/// the latest composite snapshot every iteration while the ingest thread
+/// keeps training and publishing new versions. Measures queries/s over the
 /// window in which the writer is live, so the row captures snapshot
 /// acquisition + publication churn, not just scoring.
 QueryRow MeasureConcurrentWithIngest(
@@ -158,10 +161,11 @@ QueryRow MeasureConcurrentWithIngest(
     pool.Submit([&, t] {
       int64_t mine = 0;
       while (!ingest_done.load(std::memory_order_acquire)) {
-        auto snap = model->CurrentSnapshot();
+        auto snap = model->CurrentShardedSnapshot();
         if (snap == nullptr) continue;
-        QueryEngine engine(std::move(snap));
-        if (RunQueries(engine, probe, 16, k, t) == 0) {
+        ShardedQueryEngine engine(std::move(snap));
+        if (RunQueries(engine, engine.snapshot().shard(0)->center(), probe,
+                       16, k, t) == 0) {
           failed.store(true, std::memory_order_relaxed);
           return;
         }
@@ -178,7 +182,7 @@ QueryRow MeasureConcurrentWithIngest(
       failed.store(true, std::memory_order_relaxed);
       break;
     }
-    model->PublishSnapshot();
+    model->PublishShardedSnapshot();
   }
   ingest_done.store(true, std::memory_order_release);
   pool.Wait();
@@ -239,12 +243,14 @@ double TimePublish(Fn&& publish) {
 /// high ids). A uniform-random 10% of rows would land in nearly every
 /// 64-row chunk and degenerate the delta to a full matrix copy; the
 /// clustering is what the chunk-COW layout monetizes. The delta loop
-/// chains each snapshot as the next publish's predecessor, matching the
-/// steady-state PublishSnapshot() cycle.
+/// chains each snapshot as the next publish's predecessor, matching one
+/// shard of the steady-state PublishShardedSnapshot() cycle. `model` has a
+/// single shard.
 std::vector<PublishRow> MeasurePublishCost(const OnlineActor& model) {
   std::vector<PublishRow> rows;
-  const auto base = model.CurrentSnapshot();
-  if (base == nullptr) return rows;
+  const auto composite = model.CurrentShardedSnapshot();
+  if (composite == nullptr) return rows;
+  const std::shared_ptr<const ModelSnapshot> base = composite->shard(0);
   const EmbeddingMatrix& center = model.center();
   const int32_t n = center.rows();
   if (n <= 0 || base->num_units() != n) return rows;
@@ -279,8 +285,8 @@ struct ShardQueryRow {
 };
 
 /// Single-thread scatter-gather queries/s against a composite snapshot:
-/// the same location / hour / vector probe mix as RunQueries, scored
-/// through ShardedQueryEngine. The per-shard scans run sequentially on
+/// RunQueries' location / hour / vector probe mix, scored through
+/// ShardedQueryEngine. The per-shard scans run sequentially on
 /// this thread, so on a 1-core box the column tracks scatter-gather
 /// overhead (seed resolution, per-shard heads, merge) across commits, not
 /// shard speedup.
@@ -312,32 +318,10 @@ ShardQueryRow MeasureShardedQueries(
   const ChunkedMatrix& shard0 = engine.snapshot().shard(0)->center();
   if (shard0.rows() <= 0) return row;
 
-  int64_t done = 0;
   Stopwatch timer;
-  for (int64_t i = 0; i < queries; ++i) {
-    switch (i % 3) {
-      case 0: {
-        auto r = engine.QueryByLocation(probe, VertexType::kWord, k);
-        if (!r.ok()) return row;
-        break;
-      }
-      case 1: {
-        auto r = engine.QueryByHour(static_cast<double>(i % 24),
-                                    VertexType::kLocation, k);
-        if (!r.ok()) return row;
-        break;
-      }
-      default: {
-        const int32_t q = static_cast<int32_t>((i * 7) % shard0.rows());
-        auto r = engine.QueryByVector(shard0.row(q), VertexType::kWord, k);
-        if (!r.ok()) return row;
-        break;
-      }
-    }
-    ++done;
-  }
+  const int64_t done = RunQueries(engine, shard0, probe, queries, k, 0);
   const double secs = timer.ElapsedSeconds();
-  if (secs > 0.0) {
+  if (done > 0 && secs > 0.0) {
     row.queries_per_sec = static_cast<double>(done) / secs;
   }
   return row;
@@ -509,6 +493,7 @@ int Main(int argc, char** argv) {
     }
   }
   model->PublishSnapshot();
+  model->PublishShardedSnapshot();
   const GeoPoint probe = stream[0].front().location;
 
   std::vector<QueryRow> rows;

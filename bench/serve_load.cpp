@@ -1,7 +1,8 @@
-// Open-loop serving harness: Poisson arrivals at a target QPS against a
-// live SnapshotStore while an OnlineActor ingests and publishes at a fixed
-// cadence. Emits BENCH_serve.json so tail latency — the number production
-// serving is actually judged on, unlike the closed-loop throughput of
+// Open-loop serving harness: Poisson arrivals at a target QPS against the
+// live composite snapshot store while an OnlineActor ingests and publishes
+// (PublishShardedSnapshot, per-shard chunk-COW deltas) at a fixed cadence.
+// Emits BENCH_serve.json so tail latency — the number production serving
+// is actually judged on, unlike the closed-loop throughput of
 // BENCH_query.json — is tracked across PRs.
 //
 // Open-loop semantics (docs/benchmarking.md): each worker draws
@@ -17,17 +18,17 @@
 //              B in {1, 8, 32}. B == 1 serves each request through the
 //              sequential QueryBy*() calls (one snapshot acquire per
 //              request); B > 1 drains up to B due requests per cycle
-//              through QueryEngine::QueryBatch (one acquire per batch,
-//              blocked scoring kernel). Identical results bit for bit —
-//              batching is purely a latency/throughput lever.
+//              through ShardedQueryEngine::QueryBatch (one acquire per
+//              batch, blocked scoring kernel). Identical results bit for
+//              bit — batching is purely a latency/throughput lever.
 //   "max_qps"  highest target QPS whose p99 still meets --slo_p99_ms,
 //              found by ramping the offered load by --ramp per level.
 //
 // The request mix rotates location / hour / keyword / vector queries
 // (--mix, default "lhkv"). Keyword requests are issued as vector queries
 // on a word unit's embedding row: streaming snapshots resolve word ids,
-// not strings (ModelSnapshot::LookupWord), and that is exactly the scoring
-// work QueryByKeyword does after resolution.
+// not strings (ShardedQueryEngine::QueryByKeyword), and that is exactly
+// the scoring work QueryByKeyword does after resolution.
 //
 // --smoke runs a seconds-scale configuration, self-checks the recorded
 // stats (finite, monotone percentiles, nonzero service counts), and is
@@ -55,8 +56,9 @@
 #include "core/online_actor.h"
 #include "data/corpus.h"
 #include "data/synthetic.h"
-#include "serve/model_snapshot.h"
 #include "serve/query_engine.h"
+#include "shard/sharded_query_engine.h"
+#include "shard/sharded_snapshot.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -106,14 +108,22 @@ struct RequestPool {
   int32_t num_units = 0;
 };
 
+/// Center row of global unit `v` in a composite snapshot.
+const float* CenterRow(const ShardedModelSnapshot& snap, VertexId v) {
+  const ShardMapSnapshot& map = snap.map();
+  return snap.shard(map.owner[static_cast<std::size_t>(v)])
+      ->center()
+      .row(map.local[static_cast<std::size_t>(v)]);
+}
+
 /// Appends worker `worker`'s request number `seq` to `out`, rotating
 /// through the configured kind mix against the rows of the engine's own
 /// snapshot (so every pointer handed to QueryBatch stays alive for the
 /// service call).
-void MakeRequest(const QueryEngine& engine, const RequestPool& pool,
+void MakeRequest(const ShardedQueryEngine& engine, const RequestPool& pool,
                  const std::string& mix, int worker, uint64_t seq, int k,
                  std::vector<BatchQuery>* out) {
-  const ChunkedMatrix& center = engine.snapshot().center();
+  const ShardedModelSnapshot& snap = engine.snapshot();
   const uint64_t key = seq + static_cast<uint64_t>(worker) * 7919u;
   switch (mix[key % mix.size()]) {
     case 'l':
@@ -127,13 +137,14 @@ void MakeRequest(const QueryEngine& engine, const RequestPool& pool,
     case 'k': {
       const VertexId w = pool.word_units[key % pool.word_units.size()];
       out->push_back(
-          BatchQuery::Vector(center.row(w), VertexType::kLocation, k, w));
+          BatchQuery::Vector(CenterRow(snap, w), VertexType::kLocation, k, w));
       break;
     }
     default: {
       const VertexId q = static_cast<VertexId>(
           (key * 31u) % static_cast<uint64_t>(pool.num_units));
-      out->push_back(BatchQuery::Vector(center.row(q), VertexType::kWord, k, q));
+      out->push_back(
+          BatchQuery::Vector(CenterRow(snap, q), VertexType::kWord, k, q));
       break;
     }
   }
@@ -142,8 +153,8 @@ void MakeRequest(const QueryEngine& engine, const RequestPool& pool,
 /// Serves one due-request batch: B == 1 goes through the sequential entry
 /// points (the unbatched baseline), B > 1 through QueryBatch. Returns the
 /// number of failed requests.
-int64_t Serve(const QueryEngine& engine, const std::vector<BatchQuery>& batch,
-              bool use_batched) {
+int64_t Serve(const ShardedQueryEngine& engine,
+              const std::vector<BatchQuery>& batch, bool use_batched) {
   int64_t failures = 0;
   if (use_batched) {
     const auto results = engine.QueryBatch(batch);
@@ -205,13 +216,13 @@ void RunWorker(OnlineActor* model, const RequestPool& pool,
     }
     due.clear();
     request.clear();
-    auto snap = model->CurrentSnapshot();
+    auto snap = model->CurrentShardedSnapshot();
     if (snap == nullptr) {
       ++out->failures;
       next_arrival += rng.Exponential() / rate_qps;
       continue;
     }
-    QueryEngine engine(std::move(snap));
+    ShardedQueryEngine engine(std::move(snap));
     while (due.size() < static_cast<std::size_t>(batch) &&
            next_arrival <= now && next_arrival < cfg.duration_s) {
       due.push_back(next_arrival);
@@ -254,7 +265,7 @@ WindowStats MeasureWindow(OnlineActor* model,
       }
       next_tick = clock.ElapsedSeconds() + cfg.ingest_period_ms * 1e-3;
       if (!model->Ingest(tail[b % tail.size()]).ok()) break;
-      model->PublishSnapshot();
+      model->PublishShardedSnapshot();
       ++b;
     }
   });
@@ -362,7 +373,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  auto first = model->PublishSnapshot();
+  auto first = model->PublishShardedSnapshot();
   if (first == nullptr) {
     std::fprintf(stderr, "no snapshot after warm-up ingest\n");
     return 1;
@@ -374,7 +385,9 @@ int Main(int argc, char** argv) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     if (!stream[i].empty()) pool.probes.push_back(stream[i].front().location);
   }
-  pool.word_units = first->VerticesOfType(VertexType::kWord);
+  for (VertexId v = 0; v < first->num_units(); ++v) {
+    if (model->unit_type(v) == VertexType::kWord) pool.word_units.push_back(v);
+  }
   pool.num_units = first->num_units();
   if (pool.probes.empty() || pool.word_units.empty() || pool.num_units <= 0) {
     std::fprintf(stderr, "warm-up snapshot has no probes/words/units\n");

@@ -14,8 +14,8 @@
 
 #include "core/online_actor.h"
 #include "data/synthetic.h"
+#include "shard/sharded_query_engine.h"
 #include "util/flags.h"
-#include "util/vec_math.h"
 
 int main(int argc, char** argv) {
   actor::Flags flags(argc, argv);
@@ -61,41 +61,30 @@ int main(int argc, char** argv) {
                                               ordered.begin() + hi);
     model->Ingest(batch).CheckOK();
 
-    // "What happens around the venue right now?" — nearest word units to
-    // the venue's (possibly newly spawned) spatial unit.
-    const actor::VertexId unit = model->SpatialUnit(venue);
+    // "What happens around the venue right now?" — publish the current
+    // model and ask for the word units nearest the venue's (possibly newly
+    // spawned) spatial unit.
     std::printf("after day %d (%d units, %zu live edges): ", day,
                 model->num_units(), model->num_live_edges());
-    if (unit == actor::kInvalidVertex) {
+    if (model->SpatialUnit(venue) == actor::kInvalidVertex) {
       std::printf("venue not seen yet\n");
       continue;
     }
-    // Rank word units by cosine against the venue unit; map unit ids back
-    // to readable keywords via the shared vocabulary.
+    actor::ShardedQueryEngine engine(model->PublishShardedSnapshot());
+    auto nearest = engine.QueryByLocation(venue, actor::VertexType::kWord, 4);
+    nearest.status().CheckOK();
+    // Map unit ids back to readable keywords via the shared vocabulary.
     std::unordered_map<actor::VertexId, int32_t> unit_to_word;
     for (int32_t w = 0; w < corpus->vocab().size(); ++w) {
       const actor::VertexId v = model->WordUnit(w);
       if (v != actor::kInvalidVertex) unit_to_word.emplace(v, w);
     }
-    std::vector<std::pair<double, actor::VertexId>> scored;
-    for (actor::VertexId v = 0; v < model->num_units(); ++v) {
-      if (model->unit_type(v) != actor::VertexType::kWord) continue;
-      scored.emplace_back(
-          actor::Cosine(model->center().row(unit), model->center().row(v),
-                        32),
-          v);
-    }
-    const std::size_t k = std::min<std::size_t>(4, scored.size());
-    std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (std::size_t i = 0; i < k; ++i) {
-      auto it = unit_to_word.find(scored[i].second);
-      const std::string label =
-          it != unit_to_word.end() ? corpus->vocab().word(it->second)
-                                   : model->unit_name(scored[i].second);
-      std::printf("%s(%.2f) ", label.c_str(), scored[i].first);
+    for (const actor::Neighbor& n : *nearest) {
+      auto it = unit_to_word.find(n.vertex);
+      const std::string label = it != unit_to_word.end()
+                                    ? corpus->vocab().word(it->second)
+                                    : n.name;
+      std::printf("%s(%.2f) ", label.c_str(), n.similarity);
     }
     std::printf("\n");
   }

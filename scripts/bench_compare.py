@@ -4,8 +4,11 @@
 Works on any file following the repo's bench schema (BENCH_sgd.json,
 BENCH_online.json, BENCH_query.json, BENCH_serve.json): top-level
 *section* arrays of rows, where each row mixes identity fields (backend,
-sampler, mode, batch, threads, dirty_pct, ...) with metric fields. Known
-sections and their metrics (see docs/benchmarking.md for every schema):
+sampler, mode, batch, threads, shards, dirty_pct, ...) with metric fields.
+A metric may carry its spread over repeated runs as `<metric>_min` and
+`<metric>_max` (BENCH_online.json does); those are reported context, not
+identity, and are not compared. Known sections and their metrics (see
+docs/benchmarking.md for every schema):
 
   throughput    steps_per_sec, batches_per_sec, records_per_sec,
                 queries_per_sec                          (higher is better)
@@ -113,9 +116,23 @@ def parse_args(argv):
     return paths[0], paths[1], threshold, strict, False
 
 
+SPREAD_SUFFIXES = ("_min", "_max")
+
+
+def is_identity(field, metrics):
+    """True unless `field` is a metric or a metric's repeat spread."""
+    if field in metrics:
+        return False
+    return not any(
+        field.endswith(suffix) and field[: -len(suffix)] in metrics
+        for suffix in SPREAD_SUFFIXES
+    )
+
+
 def row_key(row, metrics):
-    """Identity of a row: every non-metric field, sorted."""
-    return tuple(sorted((k, v) for k, v in row.items() if k not in metrics))
+    """Identity of a row: every field that is not a metric, sorted."""
+    return tuple(sorted((k, v) for k, v in row.items()
+                        if is_identity(k, metrics)))
 
 
 def load_sections(path):

@@ -1,11 +1,11 @@
 #include "core/model_io.h"
 
-#include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 
+#include "serve/query_engine.h"
 #include "util/string_util.h"
-#include "util/vec_math.h"
 
 namespace actor {
 namespace {
@@ -44,20 +44,22 @@ Status SaveActorModel(const ActorModel& model, const BuiltGraphs& graphs,
 
 Result<LoadedModel> LoadedModel::Load(const std::string& dir) {
   LoadedModel model;
-  ACTOR_ASSIGN_OR_RETURN(model.center_,
+  ACTOR_ASSIGN_OR_RETURN(EmbeddingMatrix center,
                          EmbeddingMatrix::Load(dir + "/center.txt"));
   ACTOR_ASSIGN_OR_RETURN(model.context_,
                          EmbeddingMatrix::Load(dir + "/context.txt"));
-  if (model.center_.rows() != model.context_.rows() ||
-      model.center_.dim() != model.context_.dim()) {
+  if (center.rows() != model.context_.rows() ||
+      center.dim() != model.context_.dim()) {
     return Status::InvalidArgument(
         "center/context shapes disagree in " + dir);
   }
 
   std::ifstream in(dir + "/vertices.tsv");
   if (!in) return Status::IOError("cannot read vertices.tsv in " + dir);
-  model.types_.resize(model.center_.rows());
-  model.names_.resize(model.center_.rows());
+  ModelSnapshot::OnlineCatalog catalog;
+  catalog.types.resize(static_cast<std::size_t>(center.rows()));
+  catalog.names.resize(static_cast<std::size_t>(center.rows()));
+  std::vector<bool> seen(static_cast<std::size_t>(center.rows()));
   std::string line;
   std::size_t rows = 0;
   while (std::getline(in, line)) {
@@ -66,21 +68,40 @@ Result<LoadedModel> LoadedModel::Load(const std::string& dir) {
     if (fields.size() != 3) {
       return Status::InvalidArgument("malformed vertices.tsv row: " + line);
     }
-    const VertexId v = static_cast<VertexId>(std::strtol(
-        fields[0].c_str(), nullptr, 10));
-    if (v < 0 || v >= model.center_.rows()) {
+    // The id must be the whole field: "12abc" or "" is a garbled row, not
+    // vertex 12 or 0.
+    const std::string& id = fields[0];
+    VertexId v = kInvalidVertex;
+    const auto [end, ec] = std::from_chars(id.data(), id.data() + id.size(), v);
+    if (id.empty() || ec != std::errc() || end != id.data() + id.size()) {
+      return Status::InvalidArgument("malformed vertex id in vertices.tsv: " +
+                                     line);
+    }
+    if (v < 0 || v >= center.rows()) {
       return Status::OutOfRange("vertex id out of range in vertices.tsv");
     }
-    ACTOR_ASSIGN_OR_RETURN(model.types_[v], ParseVertexType(fields[1]));
-    model.names_[v] = fields[2];
+    // A duplicated id would pass the row-count check below while leaving
+    // some other row with a default type and an empty name.
+    const auto slot = static_cast<std::size_t>(v);
+    if (seen[slot]) {
+      return Status::InvalidArgument(
+          StrPrintf("duplicate vertex id %d in vertices.tsv", v));
+    }
+    seen[slot] = true;
+    ACTOR_ASSIGN_OR_RETURN(catalog.types[slot], ParseVertexType(fields[1]));
+    catalog.names[slot] = fields[2];
     model.index_[fields[2]] = v;
     ++rows;
   }
-  if (rows != static_cast<std::size_t>(model.center_.rows())) {
+  if (rows != static_cast<std::size_t>(center.rows())) {
     return Status::InvalidArgument(StrPrintf(
         "vertices.tsv has %zu rows but the matrix has %d", rows,
-        model.center_.rows()));
+        center.rows()));
   }
+  // The snapshot copies the rows into its chunks; the parsed matrix is
+  // released on return, so the loaded model keeps one copy.
+  model.snapshot_ =
+      ModelSnapshot::FromOnline(center, std::move(catalog), /*version=*/0);
   return model;
 }
 
@@ -92,17 +113,12 @@ VertexId LoadedModel::Lookup(const std::string& name) const {
 std::vector<std::pair<VertexId, double>> LoadedModel::NearestOfType(
     VertexId query, VertexType type, int k) const {
   std::vector<std::pair<VertexId, double>> results;
-  const std::size_t dim = static_cast<std::size_t>(center_.dim());
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    if (v == query || types_[v] != type) continue;
-    results.emplace_back(v, Cosine(center_.row(query), center_.row(v), dim));
+  auto nearest = QueryEngine(snapshot_).QueryByVector(center().row(query),
+                                                      type, k, query);
+  if (!nearest.ok()) return results;  // k <= 0
+  for (const Neighbor& n : *nearest) {
+    results.emplace_back(n.vertex, n.similarity);
   }
-  const std::size_t keep =
-      std::min<std::size_t>(std::max(k, 0), results.size());
-  std::partial_sort(
-      results.begin(), results.begin() + keep, results.end(),
-      [](const auto& a, const auto& b) { return a.second > b.second; });
-  results.resize(keep);
   return results;
 }
 

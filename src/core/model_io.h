@@ -1,12 +1,15 @@
 #ifndef ACTOR_CORE_MODEL_IO_H_
 #define ACTOR_CORE_MODEL_IO_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/actor.h"
 #include "graph/graph_builder.h"
+#include "serve/model_snapshot.h"
 #include "util/result.h"
 
 namespace actor {
@@ -20,32 +23,38 @@ Status SaveActorModel(const ActorModel& model, const BuiltGraphs& graphs,
                       const std::string& dir);
 
 /// A model reloaded from disk: embeddings plus the vertex catalogue, with
-/// name-based lookup so queries work without the original graphs.
+/// name-based lookup so queries work without the original graphs. The
+/// center vectors and the catalogue live once, in a flat serving snapshot,
+/// so NearestOfType reuses the one top-k scorer without a second copy.
 class LoadedModel {
  public:
   static Result<LoadedModel> Load(const std::string& dir);
 
-  const EmbeddingMatrix& center() const { return center_; }
+  const ChunkedMatrix& center() const { return snapshot_->center(); }
   const EmbeddingMatrix& context() const { return context_; }
-  int32_t num_vertices() const { return center_.rows(); }
+  int32_t num_vertices() const { return snapshot_->num_units(); }
 
-  VertexType vertex_type(VertexId v) const { return types_[v]; }
-  const std::string& vertex_name(VertexId v) const { return names_[v]; }
+  VertexType vertex_type(VertexId v) const {
+    return snapshot_->vertex_type(v);
+  }
+  const std::string& vertex_name(VertexId v) const {
+    return snapshot_->vertex_name(v);
+  }
 
   /// Vertex id for a unit name ("coffee", "T3(19:17)", "user42"); -1 when
   /// unknown.
   VertexId Lookup(const std::string& name) const;
 
-  /// Top-k vertices of `type` by cosine against vertex `query`.
+  /// Top-k vertices of `type` by cosine against vertex `query`, scored by
+  /// QueryEngine: ties break by (score desc, id asc). Empty when k <= 0.
   std::vector<std::pair<VertexId, double>> NearestOfType(VertexId query,
                                                          VertexType type,
                                                          int k) const;
 
  private:
-  EmbeddingMatrix center_;
+  /// Center vectors + catalogue (version 0), built once at Load().
+  std::shared_ptr<const ModelSnapshot> snapshot_;
   EmbeddingMatrix context_;
-  std::vector<VertexType> types_;
-  std::vector<std::string> names_;
   std::unordered_map<std::string, VertexId> index_;
 };
 

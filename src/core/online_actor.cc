@@ -10,6 +10,25 @@
 #include "util/thread_pool.h"
 
 namespace actor {
+namespace {
+
+/// Rejects a batch holding a non-finite location or timestamp.
+Status ValidateBatch(const std::vector<TokenizedRecord>& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TokenizedRecord& rec = batch[i];
+    // A NaN coordinate never compares below a hotspot distance, so it would
+    // spawn a fresh hotspot per record; an infinite timestamp yields a NaN
+    // hour. Either would corrupt the unit catalogue, so reject up front.
+    if (!std::isfinite(rec.location.x) || !std::isfinite(rec.location.y) ||
+        !std::isfinite(rec.timestamp)) {
+      return Status::InvalidArgument(
+          StrPrintf("record %zu has a non-finite location or timestamp", i));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   if (options.dim <= 0 || options.negatives < 1) {
@@ -24,15 +43,11 @@ Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   if (options.min_edge_weight <= 0.0) {
     return Status::InvalidArgument("min_edge_weight must be > 0");
   }
-  if (options.num_shards < 0) {
-    return Status::InvalidArgument("num_shards must be >= 0");
+  if (options.num_shards < 1) {
+    return Status::InvalidArgument("num_shards must be >= 1");
   }
   OnlineActor model(options);
-  // Legacy mode (num_shards == 0) runs the whole model in one physical
-  // shard, so every sharded container below degenerates to the flat
-  // layout with local ids == global ids.
-  model.shards_ = std::max(1, options.num_shards);
-  model.sharded_ = options.num_shards > 0;
+  model.shards_ = options.num_shards;
   PartitionSpec spec;
   spec.num_shards = model.shards_;
   spec.strategy = options.shard_strategy;
@@ -49,12 +64,11 @@ Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   model.owned_dirty_.resize(static_cast<std::size_t>(model.shards_));
   model.tiles_.resize(static_cast<std::size_t>(model.shards_));
   for (auto& tiles : model.tiles_) tiles.SetDim(options.dim);
-  // Same pool contract as EdgeSamplingTrainer: num_threads <= 1 is the
-  // sequential, bit-deterministic path and ignores any provided pool
-  // entirely (the PR 2 bug class); num_threads > 1 borrows the caller's
-  // persistent pool or owns a private one for the actor's lifetime. In
-  // sharded mode the pool dispatches whole per-shard epochs instead of
-  // HOGWILD sample ranges, so the result is thread-count-invariant there.
+  // Same pool contract as EdgeSamplingTrainer: num_threads <= 1 ignores
+  // any provided pool entirely; num_threads > 1 borrows the caller's
+  // persistent pool or owns a private one for the actor's lifetime. The
+  // pool dispatches whole per-shard epochs, so the result is
+  // thread-count-invariant.
   if (options.num_threads > 1) {
     if (options.pool != nullptr) {
       model.pool_ = options.pool;
@@ -89,11 +103,7 @@ VertexId OnlineActor::AddUnit(VertexType type, std::string name) {
   context_.AppendRow(owner, nullptr);
   // A new unit's row is dirty by definition: no previous snapshot chunk
   // can cover it. Resolve/AddUnit run on the ingest thread, outside any
-  // hogwild region, so marking the merged set directly is safe. Both
-  // publish paths' bookkeeping is kept current (global set for the flat
-  // path, owner's local set for the sharded path).
-  dirty_.Resize(static_cast<int32_t>(types_.size()));
-  dirty_.Mark(id);
+  // shard epoch, so marking the owner's local set directly is safe.
   owned_dirty_[static_cast<std::size_t>(owner)].Resize(local + 1);
   owned_dirty_[static_cast<std::size_t>(owner)].Mark(local);
   return id;
@@ -185,6 +195,9 @@ std::size_t OnlineActor::num_live_edges() const {
 }
 
 Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
+  // The whole batch is checked before any state changes, so a rejected
+  // batch leaves the model exactly as it was.
+  ACTOR_RETURN_NOT_OK(ValidateBatch(batch));
   // Recency decay happens before the new co-occurrences arrive, so the
   // newest batch always carries full weight. An empty batch is a valid
   // pure-decay tick (sparse-stream mode): a time slice passed with no
@@ -269,126 +282,6 @@ Status OnlineActor::RefreshSamplers(int e, int s) {
 }
 
 Status OnlineActor::TrainBatch() {
-  if (sharded_) return TrainBatchSharded();
-  // Legacy unsharded path: the whole model lives in shard 0, trained by
-  // splitting each type's sample budget across pool workers (HOGWILD).
-  for (int e = 0; e < kNumEdgeTypes; ++e) {
-    const OnlineEdgeStore& store = edges_[e].shard(0);
-    if (store.empty()) continue;
-    ACTOR_RETURN_NOT_OK(RefreshSamplers(e, 0));
-    // Both directions of every undirected edge carry the per-edge budget,
-    // as in the pre-port flattening.
-    const auto samples = static_cast<int64_t>(
-        options_.samples_per_edge_per_batch * 2.0 *
-        static_cast<double>(store.size()));
-    if (samples <= 0) continue;
-    const uint64_t step = train_steps_;
-    const std::size_t dim = static_cast<std::size_t>(options_.dim);
-    if (pool_ == nullptr || pool_->num_threads() == 1) {
-      // Sequential path: no concurrent markers, mark the merged set.
-      std::vector<float> grad(dim);
-      TrainTypeShard(e, samples, ShardSeed(options_.seed, step, 0), &dirty_,
-                     grad.data());
-    } else {
-      shard_dirty_.resize(pool_->num_threads());
-      for (auto& s : shard_dirty_) {
-        s.Resize(num_units());
-        s.Clear();
-      }
-      // Per-shard gradient scratch, allocated at the dispatch boundary:
-      // the shard bodies themselves are allocation-free (hot-path rule).
-      std::vector<float> shard_grad(pool_->num_threads() * dim);
-      float* const grad_base = shard_grad.data();
-      pool_->ShardedRange(
-          0, static_cast<std::size_t>(samples),
-          [this, e, step, grad_base, dim](int shard, std::size_t lo,
-                                          std::size_t hi) {
-            TrainTypeShard(e, static_cast<int64_t>(hi - lo),
-                           ShardSeed(options_.seed, step, shard),
-                           &shard_dirty_[static_cast<std::size_t>(shard)],
-                           grad_base + static_cast<std::size_t>(shard) * dim);
-          });
-      // Batch barrier: ShardedRange returned, the shard-local sets are
-      // published to the ingest thread — fold them into the merged set.
-      for (const auto& s : shard_dirty_) dirty_.MergeFrom(s);
-    }
-    train_steps_ += static_cast<uint64_t>(samples);
-  }
-  // HOGWILD updates cannot be checked per-step without serializing the
-  // shards; sweep both matrices for NaN/inf after every batch in debug
-  // builds instead (same policy as EdgeSamplingTrainer).
-  ACTOR_DCHECK(center_.DebugValidate());
-  ACTOR_DCHECK(context_.DebugValidate());
-  return Status::OK();
-}
-
-// Runs concurrently on pool workers (the analyzer derives the HOGWILD
-// scope from the ShardedRange dispatch): shared row access must go through
-// the kernel API or RelaxedLoad/RelaxedStore, and the body is
-// allocation-free — `grad` scratch is owned by the dispatch site.
-void OnlineActor::TrainTypeShard(int e, int64_t num_samples, uint64_t seed,
-                                 DirtyRowSet* dirty, float* grad) {
-  Rng rng(seed);
-  const OnlineEdgeStore& store = edges_[e].shard(0);
-  const SamplerCache& cache = samplers_[e][0];
-  EmbeddingMatrix& center = center_.shard(0);
-  EmbeddingMatrix& context = context_.shard(0);
-  // Decayed-weight / alias-mass consistency: the sampler must describe
-  // exactly the live edge set, or draws would index dropped slots.
-  ACTOR_DCHECK(cache.built && cache.edge_table.size() == store.size())
-      << "sampler for edge type " << e << " covers "
-      << cache.edge_table.size() << " edges, store holds " << store.size();
-  const std::vector<VertexId>& src = store.src();
-  const std::vector<VertexId>& dst = store.dst();
-  const std::size_t dim = static_cast<std::size_t>(options_.dim);
-  const float lr = options_.learning_rate;
-
-  // Block-wise sampling with software prefetch, as in
-  // EdgeSamplingTrainer::TrainShard: the random center/context row
-  // accesses of block i overlap the alias draws of block i+1. The low bit
-  // of each buffered entry is the edge orientation (undirected edges are
-  // stored once; each draw picks a direction uniformly, which matches the
-  // pre-port both-directions flattening in distribution).
-  constexpr int64_t kBlock = 64;
-  std::array<std::size_t, kBlock> idx_buf;
-  for (int64_t base = 0; base < num_samples; base += kBlock) {
-    const int64_t block = std::min<int64_t>(kBlock, num_samples - base);
-    for (int64_t i = 0; i < block; ++i) {
-      const std::size_t idx = cache.edge_table.Sample(rng);
-      const std::size_t flip = rng.Next() & 1;
-      idx_buf[static_cast<std::size_t>(i)] = (idx << 1) | flip;
-      PrefetchRow(center.row(flip ? dst[idx] : src[idx]), dim);
-      PrefetchRow(context.row(flip ? src[idx] : dst[idx]), dim);
-    }
-    for (int64_t i = 0; i < block; ++i) {
-      const std::size_t packed = idx_buf[static_cast<std::size_t>(i)];
-      const std::size_t idx = packed >> 1;
-      const bool flip = (packed & 1) != 0;
-      const VertexId u = flip ? dst[idx] : src[idx];
-      const VertexId v = flip ? src[idx] : dst[idx];
-      const NoiseTable& noise = cache.noise[static_cast<int>(types_[v])];
-      if (!noise.valid) continue;
-      Zero(grad, dim);
-      // Dirty tracking marks the rows this step mutates — u (center), v
-      // and every negative draw (context) — into the shard-local set
-      // `dirty` points at, never a shared one (R4 discipline).
-      NegativeSamplingUpdate(
-          center.row(u), v, options_.negatives, lr, &context, sigmoid_,
-          rng,
-          [&noise, dirty](Rng& r) {
-            const VertexId n = noise.candidates[noise.table.Sample(r)];
-            dirty->Mark(n);
-            return n;
-          },
-          grad);
-      Add(grad, center.row(u), dim);
-      dirty->Mark(u);
-      dirty->Mark(v);
-    }
-  }
-}
-
-Status OnlineActor::TrainBatchSharded() {
   // Batch barrier, part 1: every shard gets a fresh read-snapshot of the
   // context rows of remote vertices its edges touch.
   RefreshRemoteTiles();
@@ -398,11 +291,11 @@ Status OnlineActor::TrainBatchSharded() {
   for (int e = 0; e < kNumEdgeTypes; ++e) {
     if (edges_[e].empty()) continue;
     // Sampler refresh + budget sizing happen on the ingest thread (may
-    // allocate); each shard's budget mirrors the unsharded formula over
-    // its own replica store, so a cross-shard edge — present in both
-    // owners' stores but trained only in its locally-centered orientation
-    // by each — receives the same 2x-per-edge budget in total, split by
-    // ownership (docs/sharding.md).
+    // allocate). Both directions of every undirected edge carry the
+    // per-edge budget, counted over each shard's own replica store, so a
+    // cross-shard edge — present in both owners' stores but trained only
+    // in its locally-centered orientation by each — receives the same
+    // 2x-per-edge budget in total, split by ownership (docs/sharding.md).
     int64_t total = 0;
     for (int s = 0; s < shards_; ++s) {
       const OnlineEdgeStore& store = edges_[e].shard(s);
@@ -424,7 +317,7 @@ Status OnlineActor::TrainBatchSharded() {
     // One epoch per shard: each epoch writes only shard-owned rows and its
     // own dirty set, so the epochs are mutually write-isolated and the
     // result is bit-identical whether they run sequentially or on the
-    // pool — sharded training is deterministic at ANY thread count.
+    // pool — training is deterministic at ANY thread count.
     if (pool_ == nullptr || shards_ == 1) {
       for (int s = 0; s < shards_; ++s) {
         if (samples[static_cast<std::size_t>(s)] <= 0) continue;
@@ -445,6 +338,8 @@ Status OnlineActor::TrainBatchSharded() {
     }
     train_steps_ += static_cast<uint64_t>(total);
   }
+  // Sweep both matrices for NaN/inf after every batch in debug builds
+  // (same policy as EdgeSamplingTrainer).
   ACTOR_DCHECK(center_.DebugValidate());
   ACTOR_DCHECK(context_.DebugValidate());
   return Status::OK();
@@ -453,7 +348,8 @@ Status OnlineActor::TrainBatchSharded() {
 // May run concurrently with the other shards' epochs (ParallelFor
 // dispatch), but every write lands in shard-s-owned state: center/context
 // rows of owned vertices, the private remote-tile copies, and this shard's
-// own dirty set. Allocation-free like TrainTypeShard.
+// own dirty set. Allocation-free: `grad` scratch is owned by the dispatch
+// site.
 void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
                                   uint64_t seed, DirtyRowSet* dirty,
                                   float* grad) {
@@ -471,11 +367,11 @@ void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
   const std::size_t dim = static_cast<std::size_t>(options_.dim);
   const float lr = options_.learning_rate;
 
-  // Identical draw structure to TrainTypeShard (block-buffered alias draws,
-  // orientation from the RNG low bit), so at one shard — same store, same
-  // seed stream, owner checks never firing, local ids equal to global ids —
-  // the two trainers consume the RNG identically and write bit-identical
-  // updates (the shards=1 A/B identity of shard_online_actor_test).
+  // Block-wise sampling with software prefetch, as in
+  // EdgeSamplingTrainer::TrainShard: the random center/context row
+  // accesses of block i overlap the alias draws of block i+1. The low bit
+  // of each buffered entry is the edge orientation (undirected edges are
+  // stored once; each draw picks a direction uniformly).
   constexpr int64_t kBlock = 64;
   std::array<std::size_t, kBlock> idx_buf;
   for (int64_t base = 0; base < num_samples; base += kBlock) {
@@ -626,15 +522,20 @@ std::shared_ptr<const ShardMapSnapshot> OnlineActor::BuildMapSnapshot()
   return snap;
 }
 
-std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
+uint64_t OnlineActor::ModelVersion() const {
   // Version stamping follows the OnlineEdgeStore scheme: each store's
   // version() bumps on every accumulate/drop, and the batch count covers
   // pure-decay ticks (which by design do not bump store versions). The sum
   // is monotone across Ingest() calls, so snapshot versions totally order
   // the published model states. (ShardedEdgeStore::version() sums its
-  // replicas, which at one shard reduces to the flat scheme exactly.)
+  // replicas.)
   uint64_t version = static_cast<uint64_t>(batches_);
   for (const auto& store : edges_) version += store.version();
+  return version;
+}
+
+std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
+  const uint64_t version = ModelVersion();
 
   auto prev = snapshots_->Acquire();
   if (prev != nullptr && prev->version() == version) {
@@ -643,34 +544,11 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
     // cheap no-op at any cadence.
     return prev;
   }
-  std::shared_ptr<const ModelSnapshot> snap;
-  if (sharded_) {
-    // Sharded mode keeps its dirty bookkeeping per shard in LOCAL row ids
-    // (cleared by PublishShardedSnapshot), so the flat publish — the
-    // bridge for unsharded consumers and the shards>1 equivalence tests —
-    // is always a full gather + copy, and deliberately leaves every dirty
-    // set untouched: the two publish paths may be mixed freely without
-    // corrupting each other's deltas.
-    snap = ModelSnapshot::FromOnline(center_.Gather(map_), BuildCatalog(),
-                                     version);
-  } else if (options_.delta_publish && prev != nullptr) {
-    // Delta publish: copy only chunks containing rows dirtied since
-    // `prev`, share the rest. An unchanged unit count means no unit was
-    // added (the catalogue only grows through AddUnit), so the whole
-    // catalogue state is shared too.
-    const EmbeddingMatrix& center = center_.shard(0);
-    snap = prev->num_units() == num_units()
-               ? ModelSnapshot::FromOnlineDelta(center, version, prev, dirty_)
-               : ModelSnapshot::FromOnlineDelta(center, version, prev, dirty_,
-                                                BuildCatalog());
-    // The new snapshot is exact, so nothing is dirty relative to it — the
-    // next delta publish starts from a clean set.
-    dirty_.Clear();
-  } else {
-    snap = ModelSnapshot::FromOnline(center_.shard(0), BuildCatalog(),
-                                     version);
-    dirty_.Clear();
-  }
+  // The flat bridge is always a full gather + copy and deliberately
+  // leaves every dirty set untouched: per-shard delta bookkeeping belongs
+  // to PublishShardedSnapshot alone, so the two may be mixed freely.
+  auto snap =
+      ModelSnapshot::FromOnline(center_.Gather(map_), BuildCatalog(), version);
   snapshots_->Publish(snap);
   return snap;
 }
@@ -681,8 +559,7 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::CurrentSnapshot() const {
 
 std::shared_ptr<const ShardedModelSnapshot>
 OnlineActor::PublishShardedSnapshot() {
-  uint64_t version = static_cast<uint64_t>(batches_);
-  for (const auto& store : edges_) version += store.version();
+  const uint64_t version = ModelVersion();
 
   auto prev = sharded_snapshots_->Acquire();
   if (prev != nullptr && prev->version() == version) {
@@ -690,8 +567,7 @@ OnlineActor::PublishShardedSnapshot() {
   }
   // The ownership map only grows through AddUnit, so an unchanged vertex
   // count means the frozen map (and its resolvers) is still exact — share
-  // it across publishes, the same trick the flat delta path plays with its
-  // catalogue state.
+  // it across publishes, as a shard delta shares an unchanged catalogue.
   std::shared_ptr<const ShardMapSnapshot> map_snap =
       (prev != nullptr && prev->map().num_vertices() == num_units())
           ? prev->map_ptr()
@@ -706,10 +582,8 @@ OnlineActor::PublishShardedSnapshot() {
         prev != nullptr ? prev->shard(s) : nullptr;
     std::shared_ptr<const ModelSnapshot> snap_s;
     // Per-shard delta against the shard's own previous snapshot, driven by
-    // its persistent LOCAL-row dirty set. Only the sharded trainer marks
-    // those sets row-by-row; the legacy trainer tracks global rows for the
-    // flat publish path instead, so legacy mode always full-copies here.
-    if (options_.delta_publish && sharded_ && prev_s != nullptr) {
+    // its persistent LOCAL-row dirty set.
+    if (options_.delta_publish && prev_s != nullptr) {
       snap_s = prev_s->num_units() == center.rows()
                    ? ModelSnapshot::FromOnlineDelta(center, version, prev_s,
                                                     dirty)

@@ -62,17 +62,16 @@ struct OnlineActorOptions {
   bool use_user_edges = true;
 
   /// Worker threads for the per-batch re-embed phase. With
-  /// num_threads <= 1 the re-embed loop is sequential and bit-deterministic
-  /// for a fixed seed; with more threads the sample budget is sharded over
-  /// the pool and the shared matrices are updated lock-free (HOGWILD, same
-  /// contract as TrainOptions::num_threads).
+  /// num_threads <= 1 the shard epochs run one after another on the ingest
+  /// thread; with more threads they run one shard per pool task. Every
+  /// epoch writes only shard-owned state, so the result is bit-identical
+  /// either way — parallelism comes from num_shards, not from splitting a
+  /// shard's sample budget.
   int num_threads = 1;
-  /// Externally-owned persistent worker pool (the PR 1 substrate). When
-  /// null and num_threads > 1 the actor creates its own pool, kept for the
-  /// actor's lifetime. The pool must outlive the actor; when
-  /// num_threads > 1 its worker count overrides num_threads, and
-  /// num_threads <= 1 ignores the pool entirely (sequential,
-  /// bit-deterministic path — the PR 2 contract).
+  /// Externally-owned persistent worker pool. When null and
+  /// num_threads > 1 the actor creates its own pool, kept for the actor's
+  /// lifetime. The pool must outlive the actor; num_threads <= 1 ignores
+  /// the pool entirely.
   ThreadPool* pool = nullptr;
 
   /// When true (default), per-edge-type samplers are cached across batches
@@ -82,32 +81,28 @@ struct OnlineActorOptions {
   /// kept as an A/B lever for bench/online_throughput.
   bool incremental_sampler = true;
 
-  /// When true (default), PublishSnapshot() is a delta publish: only
-  /// chunks of the center matrix containing rows dirtied since the last
-  /// snapshot are copied, clean chunks and (when no unit was added) the
-  /// whole unit catalogue are shared with it (docs/serving.md). When
-  /// false, every publish is the pre-delta full copy — bit-identical
+  /// When true (default), PublishShardedSnapshot() is a delta publish:
+  /// each shard copies only the chunks of its center matrix containing
+  /// rows dirtied since its previous snapshot; clean chunks and (when the
+  /// shard gained no unit) its catalogue are shared (docs/serving.md).
+  /// When false, every shard is the pre-delta full copy — bit-identical
   /// snapshot contents and query results either way (locked in by
   /// serve_delta_publish_test); kept as an A/B lever for
-  /// bench/query_throughput's publish_cost section. Governs
-  /// PublishShardedSnapshot()'s per-shard deltas the same way.
+  /// bench/query_throughput's publish_cost section. PublishSnapshot() is
+  /// always a full copy.
   bool delta_publish = true;
 
-  /// 0 (default) = the legacy unsharded pipeline: one flat allocation per
-  /// matrix, the sample-split HOGWILD trainer, flat publish. >= 1 =
-  /// ownership-partitioned mode (docs/sharding.md): a VertexPartitioner
+  /// Ownership partitioning (docs/sharding.md): a VertexPartitioner
   /// assigns every unit to one of `num_shards` shards, each shard trains
   /// its own rows in an independent epoch (cross-shard context rows
   /// resolved through a per-shard remote-tile cache refreshed at batch
   /// barriers), and PublishShardedSnapshot() emits per-shard chunk-COW
-  /// snapshots behind one composite store. Sharded training writes only
-  /// shard-owned state, so it is bit-deterministic at ANY num_threads —
-  /// unlike the legacy HOGWILD path, which is deterministic only
-  /// sequentially. num_shards=1 is the A/B lever: the sharded pipeline
-  /// with one shard, proved bit-identical to the legacy path
-  /// (shard_online_actor_test).
-  int num_shards = 0;
-  /// How vertex ids map to shards in sharded mode (hash by default).
+  /// snapshots behind one composite store. Training writes only
+  /// shard-owned state, so it is bit-deterministic at ANY num_threads.
+  /// Must be >= 1; the default single shard holds the whole model in one
+  /// flat allocation per matrix (local ids == global ids).
+  int num_shards = 1;
+  /// How vertex ids map to shards (hash by default).
   ShardStrategy shard_strategy = ShardStrategy::kHash;
 };
 
@@ -118,11 +113,11 @@ struct OnlineActorOptions {
 /// distribution but keep their vectors.
 ///
 /// Each Ingest() runs the cycle described in docs/streaming.md:
-///   decay -> resolve units -> accumulate co-occurrences ->
-///   incremental sampler rebuild -> sharded re-embed.
-/// The re-embed phase runs on the shared ThreadPool/SIMD substrate: sample
-/// budgets are split with ThreadPool::ShardedRange, per-shard RNG streams
-/// derive from ShardSeed, and all shared-row arithmetic goes through the
+///   validate -> decay -> resolve units -> accumulate co-occurrences ->
+///   remote-tile refresh -> incremental sampler rebuild -> re-embed.
+/// The re-embed phase runs one trainer epoch per shard per edge type, on
+/// the shared ThreadPool when num_threads > 1. Per-shard RNG streams derive
+/// from ShardSeed, and all row arithmetic goes through the
 /// runtime-dispatched kernels in util/vec_math.h (so the TSan `relaxed`
 /// backend covers the streaming path too).
 class OnlineActor {
@@ -139,7 +134,9 @@ class OnlineActor {
   /// batch is a pure-decay tick (a time slice with no observations):
   /// existing edge weights decay, no accumulation happens, and training
   /// runs on the cached samplers — uniform decay preserves the sampling
-  /// distribution, so no alias table is rebuilt.
+  /// distribution, so no alias table is rebuilt. A batch holding a record
+  /// with a non-finite location or timestamp is rejected whole with
+  /// InvalidArgument before any state changes.
   Status Ingest(const std::vector<TokenizedRecord>& batch);
 
   /// Number of Ingest() calls so far.
@@ -150,16 +147,13 @@ class OnlineActor {
   std::size_t num_spatial_hotspots() const { return spatial_.size(); }
   std::size_t num_temporal_hotspots() const { return temporal_.size(); }
 
-  /// True in ownership-partitioned mode (options.num_shards >= 1).
-  bool sharded() const { return sharded_; }
-  /// Physical shard count (1 in legacy mode).
+  /// Shard count (options.num_shards).
   int num_shards() const { return shards_; }
   /// The live tile-ownership map (global id -> owner shard, local row).
   const ShardMap& shard_map() const { return map_; }
 
-  /// The flat center matrix. Only meaningful when there is exactly one
-  /// physical shard (legacy mode, or sharded mode with num_shards=1, where
-  /// local ids equal global ids); sharded consumers use center_shard() /
+  /// The flat center matrix. Only meaningful with a single shard, where
+  /// local ids equal global ids; multi-shard consumers use center_shard() /
   /// GatherCenter().
   const EmbeddingMatrix& center() const {
     ACTOR_DCHECK(shards_ == 1) << "center() needs a single shard; use "
@@ -172,8 +166,8 @@ class OnlineActor {
   }
   /// Flat copy of the center matrix in global-id order (O(units x dim)).
   EmbeddingMatrix GatherCenter() const { return center_.Gather(map_); }
-  /// Distinct remote vertices shard `s`'s tile cache has held (sharded
-  /// mode; 0 until a cross-shard edge appeared). Test/introspection only.
+  /// Distinct remote vertices shard `s`'s tile cache has held (0 until a
+  /// cross-shard edge appeared). Test/introspection only.
   std::size_t remote_tile_rows(int s) const { return tiles_[s].size(); }
 
   VertexType unit_type(VertexId v) const { return types_[v]; }
@@ -190,16 +184,16 @@ class OnlineActor {
   double ScoreRecordAgainstUnit(const TokenizedRecord& record,
                                 VertexId candidate) const;
 
-  /// Publishes the current model as an immutable ModelSnapshot and
-  /// installs it as the actor's current snapshot (docs/serving.md). With
-  /// delta_publish (default) the cost is proportional to the rows the
-  /// last batches touched — clean chunks and an unchanged catalogue are
-  /// shared with the previous snapshot; with delta_publish=false every
-  /// publish deep-copies O(units x dim). When the model version is
-  /// unchanged since the last publish (no Ingest() in between) the
-  /// already-published snapshot is returned as-is — a no-op publish that
-  /// copies nothing. Call from the ingest thread only (the same thread
-  /// that calls Ingest()); never concurrently with it.
+  /// Publishes the current model as one flat, immutable ModelSnapshot and
+  /// installs it as the actor's current snapshot — the bridge for
+  /// consumers of the flat QueryEngine (offline evaluation, benchmarks).
+  /// Always a full copy: the center matrix is gathered into global-id
+  /// order and deep-copied, O(units x dim), and no dirty-row set is read
+  /// or cleared, so it may be mixed freely with PublishShardedSnapshot().
+  /// When the model version is unchanged since the last flat publish (no
+  /// Ingest() in between) the already-published snapshot is returned
+  /// as-is. Call from the ingest thread only (the same thread that calls
+  /// Ingest()); never concurrently with it.
   /// The snapshot version follows the OnlineEdgeStore::version() scheme:
   /// batches_ingested() plus the sum of the per-edge-type store versions,
   /// so any batch that changed the sampled distribution (and any batch at
@@ -216,13 +210,10 @@ class OnlineActor {
 
   /// Publishes the current model as a composite of per-shard chunk-COW
   /// ModelSnapshots plus a frozen ShardMapSnapshot, installed atomically
-  /// as ONE pointer swap — readers never see shards at mixed versions. In
-  /// sharded mode with delta_publish each shard deltas against its own
-  /// previous snapshot using its per-shard dirty set; in legacy mode every
-  /// shard (there is one) is a full copy, since the legacy trainer tracks
-  /// dirtiness for the flat publish path only. Same no-op-at-unchanged-
-  /// version and ingest-thread-only contract as PublishSnapshot(); the two
-  /// publish paths keep independent dirty bookkeeping and may be mixed.
+  /// as ONE pointer swap — readers never see shards at mixed versions.
+  /// With delta_publish each shard deltas against its own previous
+  /// snapshot using its per-shard dirty set. Same no-op-at-unchanged-
+  /// version and ingest-thread-only contract as PublishSnapshot().
   std::shared_ptr<const ShardedModelSnapshot> PublishShardedSnapshot();
 
   /// Latest composite snapshot (null before the first
@@ -258,35 +249,30 @@ class OnlineActor {
 
   void AccumulateEdge(VertexId a, VertexId b);
   void DecayEdges();
+  /// The re-embed phase: remote-tile refresh, per-shard sampler refresh,
+  /// one trainer epoch per shard per edge type.
   Status TrainBatch();
   /// Brings samplers_[e][s] up to date with edges_[e].shard(s) (no-op when
   /// the store version matches — e.g. after pure-decay batches). Noise
   /// candidates are filtered to shard-owned vertices, so negative draws
   /// always resolve to writable local rows (a no-op filter at one shard).
   Status RefreshSamplers(int e, int s);
-  /// One shard of the legacy re-embed phase for edge type e: `num_samples`
-  /// SGD steps from the per-shard RNG stream seeded with `seed`. `dirty`
-  /// is this shard's local dirty-row set (or the merged set directly on
-  /// the sequential path) — never a set shared with another running shard.
-  /// `grad` is caller-owned gradient scratch of length options_.dim (shard
-  /// bodies run on the hot path and must not allocate).
-  void TrainTypeShard(int e, int64_t num_samples, uint64_t seed,
-                      DirtyRowSet* dirty, float* grad);
-  /// Sharded mode: the whole batch cycle (remote-tile refresh, per-shard
-  /// sampler refresh, one trainer epoch per shard per edge type).
-  Status TrainBatchSharded();
   /// Shard `s`'s trainer epoch for edge type e: draws from the shard's own
   /// replica store, trains only orientations whose center endpoint it
   /// owns, resolves remote positive-context rows through tiles_[s], and
   /// marks `dirty` (= owned_dirty_[s], exclusively this shard's) with
-  /// LOCAL row ids. Dispatched one shard per pool task; like
-  /// TrainTypeShard the body is allocation-free.
+  /// LOCAL row ids. Dispatched one shard per pool task; the body is
+  /// allocation-free — `grad` is caller-owned scratch of length
+  /// options_.dim.
   void TrainShardEpoch(int e, int s, int64_t num_samples, uint64_t seed,
                        DirtyRowSet* dirty, float* grad);
   /// Recopies every remote endpoint's context row into the owning shards'
   /// tile caches — the batch-barrier tile exchange (docs/sharding.md).
   void RefreshRemoteTiles();
-  /// The copied resolver state a full (non-delta) publish adopts.
+  /// batches_ingested() plus the per-edge-type store versions: the
+  /// monotone version both publish paths stamp.
+  uint64_t ModelVersion() const;
+  /// The copied resolver state the flat PublishSnapshot() adopts.
   ModelSnapshot::OnlineCatalog BuildCatalog() const;
   /// Shard `s`'s local catalogue: types/names of its units in local-row
   /// order. Resolver fields stay empty — global resolution lives in the
@@ -306,11 +292,8 @@ class OnlineActor {
   /// component of ShardSeed.
   uint64_t train_steps_ = 0;
 
-  /// Physical shard count: max(1, options.num_shards). Legacy mode runs
-  /// the whole model in shard 0 (local ids == global ids).
+  /// Shard count (options.num_shards, >= 1).
   int shards_ = 1;
-  /// True iff options.num_shards >= 1 (ownership-partitioned mode).
-  bool sharded_ = false;
   VertexPartitioner partitioner_;
   ShardMap map_;
 
@@ -331,22 +314,13 @@ class OnlineActor {
   // Decaying undirected edge weights per edge type, in per-shard replica
   // stores with incremental sampler maintenance (docs/streaming.md,
   // docs/sharding.md). samplers_[e] holds one cache per shard, each stamped
-  // against its own replica store; legacy mode uses samplers_[e][0].
+  // against its own replica store.
   ShardedEdgeStore edges_[kNumEdgeTypes];
   std::vector<SamplerCache> samplers_[kNumEdgeTypes];
 
-  /// Center/context rows (GLOBAL ids) mutated since the last flat publish
-  /// (one union set): new units from AddUnit plus everything the legacy
-  /// re-embed shards touched. Written only from the ingest thread outside
-  /// hogwild regions; the shards mark shard_dirty_, merged here at the
-  /// TrainBatch barrier. Sharded mode keeps it marked (AddUnit) so a flat
-  /// PublishSnapshot stays correct, but the sharded publish path never
-  /// reads or clears it.
-  DirtyRowSet dirty_;
-  std::vector<DirtyRowSet> shard_dirty_;  // per-shard scratch (legacy)
-  /// Sharded mode: per-shard persistent dirty sets over LOCAL row ids,
-  /// marked directly by each shard's single-writer epoch (no merge needed)
-  /// and cleared by PublishShardedSnapshot's per-shard deltas.
+  /// Per-shard persistent dirty sets over LOCAL row ids, marked by AddUnit
+  /// and by each shard's single-writer epoch (no merge needed), and
+  /// cleared by PublishShardedSnapshot's per-shard deltas.
   std::vector<DirtyRowSet> owned_dirty_;
   /// Per-shard read-only caches of remote vertices' context rows,
   /// refreshed at the batch barrier (RefreshRemoteTiles).
@@ -355,7 +329,7 @@ class OnlineActor {
   ThreadPool* pool_ = nullptr;              // null => sequential re-embed
   std::unique_ptr<ThreadPool> owned_pool_;  // backs pool_ when not borrowed
 
-  /// Atomic slot for the latest published snapshot. unique_ptr because the
+  /// Atomic slot for the latest flat snapshot. unique_ptr because the
   /// store holds a std::atomic (non-movable) and OnlineActor is movable.
   std::unique_ptr<SnapshotStore> snapshots_;
   /// Atomic slot for the latest composite (per-shard) snapshot.

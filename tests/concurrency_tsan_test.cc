@@ -124,11 +124,11 @@ TEST(ConcurrencyTsanTest, TrainSkipGramMultiThread) {
 }
 
 TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
-  // Streaming path: the sharded re-embed phase writes shared center/context
-  // rows lock-free through the dispatched kernels, so the relaxed backend
-  // must cover it — this is the TSan witness for the OnlineActor port.
-  // Exercises decay, drops, and incremental sampler rebuilds across
-  // batches while shards collide on the hottest rows.
+  // Streaming path: kThreads shard epochs run concurrently on the pool,
+  // each writing only its own rows, dirty set and remote-tile copies while
+  // reading the shared edge stores and ownership map — TSan must see no
+  // race between them. Exercises decay, drops, remote-tile refreshes and
+  // incremental sampler rebuilds across batches.
   SyntheticConfig config;
   config.seed = 11;
   config.num_records = 900;
@@ -154,15 +154,16 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
+  options.num_shards = kThreads;
   options.num_threads = kThreads;
-  options.pool = &pool;  // caller-owned persistent pool, PR 1 substrate
+  options.pool = &pool;  // caller-owned persistent pool
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   for (const auto& batch : batches) {
     ASSERT_TRUE(model->Ingest(batch).ok());
   }
   EXPECT_GT(model->num_live_edges(), 0u);
-  EXPECT_TRUE(AllFinite(model->center()));
+  EXPECT_TRUE(AllFinite(model->GatherCenter()));
 }
 
 TEST(ConcurrencyTsanTest, QueryDuringIngest) {
@@ -195,6 +196,8 @@ TEST(ConcurrencyTsanTest, QueryDuringIngest) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
+  options.num_shards = kThreads;
+  options.num_threads = kThreads;
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
@@ -268,6 +271,8 @@ TEST(ConcurrencyTsanTest, BatchedQueryDuringIngest) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
+  options.num_shards = kThreads;
+  options.num_threads = kThreads;
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
@@ -316,13 +321,12 @@ TEST(ConcurrencyTsanTest, BatchedQueryDuringIngest) {
 }
 
 TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
-  // Delta-publish flavor of QueryDuringIngest, with the re-embed phase
-  // sharded over a pool: shards mark shard-local dirty sets inside the
-  // hogwild region, the ingest thread merges them at the batch barrier
-  // and chunk-COW publishes against the previous snapshot, all while
-  // query threads keep acquiring and scoring. TSan must see no races in
-  // the dirty bookkeeping or the chunk sharing, and a snapshot held from
-  // before the writer started must stay byte-frozen throughout.
+  // Delta-publish flavor of QueryDuringIngest: kThreads shard epochs mark
+  // their own dirty sets on the pool, and the ingest thread chunk-COW
+  // publishes each shard against its previous snapshot, all while query
+  // threads keep acquiring and scoring composites. TSan must see no races
+  // in the dirty bookkeeping or the chunk sharing, and a composite held
+  // from before the writer started must stay byte-frozen throughout.
   SyntheticConfig config;
   config.seed = 43;
   config.num_records = 900;
@@ -348,15 +352,19 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
+  options.num_shards = kThreads;
   options.num_threads = kThreads;
   options.pool = &train_pool;
   options.delta_publish = true;  // explicit: this is the delta smoke
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  auto held = model->PublishSnapshot();
+  auto held = model->PublishShardedSnapshot();
   ASSERT_NE(held, nullptr);
-  const float held_probe = held->center().row(0)[0];
+  std::vector<float> held_probe;
+  for (int s = 0; s < held->num_shards(); ++s) {
+    held_probe.push_back(held->shard(s)->center().row(0)[0]);
+  }
   const GeoPoint probe = batches[0].front().location;
 
   ThreadPool query_pool(kThreads);
@@ -368,13 +376,13 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
       uint64_t last_version = 0;
       while (!ingest_done.load(std::memory_order_acquire) || spins < 50) {
         ++spins;
-        auto snap = model->CurrentSnapshot();
+        auto snap = model->CurrentShardedSnapshot();
         if (snap == nullptr) continue;
         if (snap->version() < last_version) {
           query_failures.fetch_add(1, std::memory_order_relaxed);
         }
         last_version = snap->version();
-        QueryEngine engine(std::move(snap));
+        ShardedQueryEngine engine(std::move(snap));
         auto words = engine.QueryByLocation(probe, VertexType::kWord,
                                             3 + (t % 3));
         if (!words.ok()) {
@@ -385,17 +393,22 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
   }
   for (std::size_t b = 1; b < batches.size(); ++b) {
     ASSERT_TRUE(model->Ingest(batches[b]).ok());
-    model->PublishSnapshot();
+    model->PublishShardedSnapshot();
   }
   ingest_done.store(true, std::memory_order_release);
   query_pool.Wait();
 
   EXPECT_EQ(query_failures.load(), 0);
-  EXPECT_EQ(held->center().row(0)[0], held_probe);  // frozen under deltas
-  auto last = model->CurrentSnapshot();
+  for (int s = 0; s < held->num_shards(); ++s) {  // frozen under deltas
+    EXPECT_EQ(held->shard(s)->center().row(0)[0],
+              held_probe[static_cast<std::size_t>(s)]);
+  }
+  auto last = model->CurrentShardedSnapshot();
   ASSERT_NE(last, nullptr);
   EXPECT_GT(last->version(), held->version());
-  EXPECT_TRUE(AllFinite(last->center()));
+  for (int s = 0; s < last->num_shards(); ++s) {
+    EXPECT_TRUE(AllFinite(last->shard(s)->center()));
+  }
 }
 
 TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {

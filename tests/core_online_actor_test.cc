@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "data/synthetic.h"
 #include "eval/mrr.h"
@@ -58,6 +59,62 @@ TEST(OnlineActorTest, CreateValidatesOptions) {
   o = FastOptions();
   o.samples_per_edge_per_batch = 0.0;
   EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
+  // One pipeline: at least one shard, and the default is exactly one.
+  o = FastOptions();
+  o.num_shards = 0;
+  EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
+  o.num_shards = -1;
+  EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
+  auto model = OnlineActor::Create(FastOptions());
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->num_shards(), 1);
+}
+
+TEST(OnlineActorTest, IngestRejectsNonFiniteRecords) {
+  // Validation happens at the Ingest boundary, for the whole batch, before
+  // any state changes: a bad batch must neither spawn units nor decay,
+  // accumulate, train or count as a batch.
+  auto model = OnlineActor::Create(FastOptions());
+  ASSERT_TRUE(model.ok());
+  const auto batches = MakeBatches(600, 2);
+  ASSERT_TRUE(model->Ingest(batches[0]).ok());
+  const int32_t units = model->num_units();
+  const std::size_t live = model->num_live_edges();
+  const std::size_t spatial = model->num_spatial_hotspots();
+  const std::size_t temporal = model->num_temporal_hotspots();
+  const int64_t ingested = model->batches_ingested();
+  auto expect_unchanged = [&] {
+    EXPECT_EQ(model->num_units(), units);
+    EXPECT_EQ(model->num_live_edges(), live);
+    EXPECT_EQ(model->num_spatial_hotspots(), spatial);
+    EXPECT_EQ(model->num_temporal_hotspots(), temporal);
+    EXPECT_EQ(model->batches_ingested(), ingested);
+  };
+
+  // NaN never compares below a hotspot distance, so unchecked, every one
+  // of these records would spawn its own spatial hotspot.
+  std::vector<TokenizedRecord> nan_batch(batches[1].begin(),
+                                         batches[1].begin() + 100);
+  for (TokenizedRecord& rec : nan_batch) rec.location.x = std::nan("");
+  EXPECT_TRUE(model->Ingest(nan_batch).IsInvalidArgument());
+  expect_unchanged();
+
+  // One infinite timestamp after valid records: the valid prefix must not
+  // be applied either.
+  std::vector<TokenizedRecord> inf_batch(batches[1].begin(),
+                                         batches[1].begin() + 50);
+  inf_batch.back().timestamp = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(model->Ingest(inf_batch).IsInvalidArgument());
+  expect_unchanged();
+
+  std::vector<TokenizedRecord> inf_y = {batches[1].front()};
+  inf_y[0].location.y = -std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(model->Ingest(inf_y).IsInvalidArgument());
+  expect_unchanged();
+
+  // The stream continues normally afterwards.
+  ASSERT_TRUE(model->Ingest(batches[1]).ok());
+  EXPECT_EQ(model->batches_ingested(), ingested + 1);
 }
 
 TEST(OnlineActorTest, EmptyBatchIsAPureDecayTick) {
@@ -293,10 +350,12 @@ TEST(OnlineActorTest, IncrementalSamplerMatchesFullRebuildDeterministically) {
 }
 
 TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
-  // HOGWILD re-embed: not bit-deterministic, but it must still converge to
-  // a usable space and keep every vector finite.
+  // Four shards trained on four workers: cross-shard context rows are
+  // read through per-batch tile copies, which costs a little quality, but
+  // the space must still converge and keep every vector finite.
   const auto batches = MakeBatches(2000, 4, 9);
   OnlineActorOptions options = FastOptions();
+  options.num_shards = 4;
   options.num_threads = 4;
   options.samples_per_edge_per_batch = 4.0;
   auto model = OnlineActor::Create(options);
@@ -304,13 +363,15 @@ TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
   for (const auto& batch : batches) {
     ASSERT_TRUE(model->Ingest(batch).ok());
   }
+  const EmbeddingMatrix center = model->GatherCenter();
   for (VertexId v = 0; v < model->num_units(); ++v) {
     for (int d = 0; d < 16; ++d) {
-      ASSERT_TRUE(std::isfinite(model->center().row(v)[d]));
+      ASSERT_TRUE(std::isfinite(center.row(v)[d]));
     }
   }
   // Same prequential ranking as LearnsCrossModalStructure, looser bar:
-  // HOGWILD noise costs a little quality but the space must stay usable.
+  // stale remote tiles cost a little quality but the space must stay
+  // usable.
   Rng rng(3);
   std::vector<int> ranks;
   const auto& test = batches.back();

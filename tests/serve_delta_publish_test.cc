@@ -1,8 +1,9 @@
-// Delta publish (dirty-row tracking + chunk-COW snapshots): the
-// delta_publish=false A/B lever must be bit-identical to the delta path
-// in snapshot contents AND query results; clean chunks must actually be
-// shared; versions stay monotone under interleaved publishes from both
-// trainers; and a snapshot handle stays frozen while later deltas land.
+// Delta publish (per-shard dirty-row tracking + chunk-COW snapshots,
+// through OnlineActor::PublishShardedSnapshot): the delta_publish=false
+// A/B lever must be bit-identical to the delta path in snapshot contents
+// AND query results; clean chunks must actually be shared; versions stay
+// monotone, also under interleaved publishes from both trainers; and a
+// snapshot handle stays frozen while later deltas land.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "serve/chunked_matrix.h"
 #include "serve/model_snapshot.h"
 #include "serve/query_engine.h"
+#include "shard/sharded_query_engine.h"
 
 namespace actor {
 namespace {
@@ -77,50 +79,67 @@ bool SameNeighbors(const std::vector<Neighbor>& a,
   return true;
 }
 
+/// Two composites hold the same per-shard rows and catalogues.
+void ExpectSameComposite(const ShardedModelSnapshot& a,
+                         const ShardedModelSnapshot& b) {
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  for (int s = 0; s < a.num_shards(); ++s) {
+    const ModelSnapshot& sa = *a.shard(s);
+    const ModelSnapshot& sb = *b.shard(s);
+    EXPECT_TRUE(SameMatrix(sa.center(), sb.center())) << "shard " << s;
+    ASSERT_EQ(sa.num_units(), sb.num_units());
+    for (VertexId v = 0; v < sa.num_units(); ++v) {
+      EXPECT_EQ(sa.vertex_type(v), sb.vertex_type(v));
+      EXPECT_EQ(sa.vertex_name(v), sb.vertex_name(v));
+    }
+  }
+}
+
 // --- The A/B lever: delta publishes are bit-identical to full copies -------
 
 TEST(DeltaPublishABTest, OnlineDeltaMatchesFullCopyBitIdentical) {
-  // Two actors, same seed, same stream, sequential (bit-deterministic)
-  // training; only the publish flavor differs. Every published snapshot
-  // must agree bit-for-bit: same version, same matrix contents, same
-  // query results. This is what lets delta_publish default to true.
+  // Two actors, same seed, same stream (training is bit-deterministic);
+  // only the publish flavor differs. Every published composite must agree
+  // bit-for-bit: same version, same per-shard contents, same query
+  // results. This is what lets delta_publish default to true. Covered at
+  // the default single shard and at two shards.
   const auto batches = MakeBatches(900, 4);
-  OnlineActorOptions delta_opts = FastOnlineOptions();
-  delta_opts.delta_publish = true;
-  OnlineActorOptions full_opts = FastOnlineOptions();
-  full_opts.delta_publish = false;
-  auto delta_model = OnlineActor::Create(delta_opts);
-  auto full_model = OnlineActor::Create(full_opts);
-  ASSERT_TRUE(delta_model.ok());
-  ASSERT_TRUE(full_model.ok());
-
   const GeoPoint probe = batches[0].front().location;
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(delta_model->Ingest(batch).ok());
-    ASSERT_TRUE(full_model->Ingest(batch).ok());
-    auto ds = delta_model->PublishSnapshot();
-    auto fs = full_model->PublishSnapshot();
-    ASSERT_NE(ds, nullptr);
-    ASSERT_NE(fs, nullptr);
-    EXPECT_EQ(ds->version(), fs->version());
-    EXPECT_EQ(ds->num_units(), fs->num_units());
-    EXPECT_TRUE(SameMatrix(ds->center(), fs->center()));
-    for (VertexId v = 0; v < ds->num_units(); ++v) {
-      EXPECT_EQ(ds->vertex_type(v), fs->vertex_type(v));
-      EXPECT_EQ(ds->vertex_name(v), fs->vertex_name(v));
-    }
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    OnlineActorOptions delta_opts = FastOnlineOptions();
+    delta_opts.num_shards = shards;
+    delta_opts.delta_publish = true;
+    OnlineActorOptions full_opts = delta_opts;
+    full_opts.delta_publish = false;
+    auto delta_model = OnlineActor::Create(delta_opts);
+    auto full_model = OnlineActor::Create(full_opts);
+    ASSERT_TRUE(delta_model.ok());
+    ASSERT_TRUE(full_model.ok());
 
-    QueryEngine dq(ds), fq(fs);
-    auto dw = dq.QueryByLocation(probe, VertexType::kWord, 8);
-    auto fw = fq.QueryByLocation(probe, VertexType::kWord, 8);
-    ASSERT_TRUE(dw.ok());
-    ASSERT_TRUE(fw.ok());
-    EXPECT_TRUE(SameNeighbors(*dw, *fw));
-    auto dh = dq.QueryByHour(13.0, VertexType::kLocation, 5);
-    auto fh = fq.QueryByHour(13.0, VertexType::kLocation, 5);
-    ASSERT_TRUE(dh.ok());
-    ASSERT_TRUE(fh.ok());
-    EXPECT_TRUE(SameNeighbors(*dh, *fh));
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(delta_model->Ingest(batch).ok());
+      ASSERT_TRUE(full_model->Ingest(batch).ok());
+      auto ds = delta_model->PublishShardedSnapshot();
+      auto fs = full_model->PublishShardedSnapshot();
+      ASSERT_NE(ds, nullptr);
+      ASSERT_NE(fs, nullptr);
+      EXPECT_EQ(ds->version(), fs->version());
+      EXPECT_EQ(ds->num_units(), fs->num_units());
+      ExpectSameComposite(*ds, *fs);
+
+      ShardedQueryEngine dq(ds), fq(fs);
+      auto dw = dq.QueryByLocation(probe, VertexType::kWord, 8);
+      auto fw = fq.QueryByLocation(probe, VertexType::kWord, 8);
+      ASSERT_TRUE(dw.ok());
+      ASSERT_TRUE(fw.ok());
+      EXPECT_TRUE(SameNeighbors(*dw, *fw));
+      auto dh = dq.QueryByHour(13.0, VertexType::kLocation, 5);
+      auto fh = fq.QueryByHour(13.0, VertexType::kLocation, 5);
+      ASSERT_TRUE(dh.ok());
+      ASSERT_TRUE(fh.ok());
+      EXPECT_TRUE(SameNeighbors(*dh, *fh));
+    }
   }
 }
 
@@ -131,8 +150,9 @@ TEST(DeltaPublishTest, CleanChunksAreSharedWithPreviousSnapshot) {
   auto model = OnlineActor::Create(FastOnlineOptions());
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  auto base = model->PublishSnapshot();
-  ASSERT_NE(base, nullptr);
+  auto base_composite = model->PublishShardedSnapshot();
+  ASSERT_NE(base_composite, nullptr);
+  const std::shared_ptr<const ModelSnapshot> base = base_composite->shard(0);
   const int32_t n = model->center().rows();
   ASSERT_GT(n, 2 * ChunkedMatrix::kChunkRows);  // several chunks to share
 
@@ -162,21 +182,67 @@ TEST(DeltaPublishTest, CleanChunksAreSharedWithPreviousSnapshot) {
   EXPECT_TRUE(SameMatrix(fresh->center(), base->center()));
 }
 
+TEST(DeltaPublishTest, ShardedPublishSharesChunksTheBatchDidNotTouch) {
+  // End to end through PublishShardedSnapshot: decay every edge of the
+  // first batch away (no live edge => no training => no dirty row), then
+  // ingest one record made only of new units. The next publish may copy
+  // only the chunks those units landed in (plus the chunk of the temporal
+  // hotspot the record snaps to); every other chunk is shared.
+  const auto batches = MakeBatches(900, 1);
+  auto model = OnlineActor::Create(FastOnlineOptions());
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(model->Ingest(batches[0]).ok());
+  for (int i = 0; i < 200 && model->num_live_edges() > 0; ++i) {
+    ASSERT_TRUE(model->Ingest({}).ok());
+  }
+  ASSERT_EQ(model->num_live_edges(), 0u);
+  auto before = model->PublishShardedSnapshot();
+  ASSERT_NE(before, nullptr);
+  const ChunkedMatrix& old_rows = before->shard(0)->center();
+  ASSERT_GT(old_rows.num_chunks(), 3u);
+
+  TokenizedRecord novel;
+  novel.user_id = 1 << 30;
+  novel.timestamp = 7 * 3600.0;
+  novel.location = {5000.0, 5000.0};
+  novel.word_ids = {1 << 20, (1 << 20) + 1};
+  ASSERT_TRUE(model->Ingest({novel}).ok());
+  auto after = model->PublishShardedSnapshot();
+  ASSERT_NE(after, nullptr);
+  EXPECT_GT(after->version(), before->version());
+  const ChunkedMatrix& new_rows = after->shard(0)->center();
+  EXPECT_GE(new_rows.SharedChunksWith(old_rows), old_rows.num_chunks() - 2);
+
+  // Sharing never trades exactness: the delta equals the live model.
+  const EmbeddingMatrix live = model->GatherCenter();
+  ASSERT_EQ(new_rows.rows(), live.rows());
+  for (int32_t r = 0; r < live.rows(); ++r) {
+    ASSERT_EQ(std::memcmp(new_rows.row(r), live.row(r),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              live.dim())),
+              0)
+        << "row " << r;
+  }
+}
+
 TEST(DeltaPublishTest, PublishWithoutIngestIsANoOp) {
   const auto batches = MakeBatches(600, 2);
   auto model = OnlineActor::Create(FastOnlineOptions());
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  auto first = model->PublishSnapshot();
+  auto first = model->PublishShardedSnapshot();
   ASSERT_NE(first, nullptr);
   // No Ingest() in between: the model version is unchanged, so publish
-  // must hand back the already-published snapshot, not a new copy.
-  auto second = model->PublishSnapshot();
+  // must hand back the already-published composite, not a new copy — and
+  // the flat bridge follows the same rule.
+  auto second = model->PublishShardedSnapshot();
   EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(model->CurrentSnapshot().get(), first.get());
+  EXPECT_EQ(model->CurrentShardedSnapshot().get(), first.get());
+  auto flat = model->PublishSnapshot();
+  EXPECT_EQ(model->PublishSnapshot().get(), flat.get());
   // The next real batch resumes normal (new-snapshot) publishes.
   ASSERT_TRUE(model->Ingest(batches[1]).ok());
-  auto third = model->PublishSnapshot();
+  auto third = model->PublishShardedSnapshot();
   ASSERT_NE(third, nullptr);
   EXPECT_NE(third.get(), first.get());
   EXPECT_GT(third->version(), first->version());
@@ -186,21 +252,23 @@ TEST(DeltaPublishTest, PublishWithoutIngestIsANoOp) {
 
 TEST(DeltaPublishTest, OldSnapshotStaysFrozenWhileNewChunksLand) {
   const auto batches = MakeBatches(900, 4);
-  auto model = OnlineActor::Create(FastOnlineOptions());
+  OnlineActorOptions options = FastOnlineOptions();
+  options.num_shards = 2;
+  auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  auto held = model->PublishSnapshot();
+  auto held = model->PublishShardedSnapshot();
   ASSERT_NE(held, nullptr);
 
-  // Copy a prefix of the held snapshot's rows and a query result.
-  const int32_t probe_rows = held->num_units();
-  std::vector<std::vector<float>> frozen(
-      static_cast<std::size_t>(probe_rows));
-  for (int32_t r = 0; r < probe_rows; ++r) {
-    frozen[static_cast<std::size_t>(r)].assign(
-        held->center().row(r), held->center().row(r) + held->dim());
+  // Copy every shard's rows and a query result of the held composite.
+  std::vector<std::vector<float>> frozen;
+  for (int s = 0; s < held->num_shards(); ++s) {
+    const ChunkedMatrix& rows = held->shard(s)->center();
+    for (int32_t r = 0; r < rows.rows(); ++r) {
+      frozen.emplace_back(rows.row(r), rows.row(r) + rows.dim());
+    }
   }
-  QueryEngine held_engine(held);
+  ShardedQueryEngine held_engine(held);
   const GeoPoint probe = batches[0].front().location;
   auto before = held_engine.QueryByLocation(probe, VertexType::kWord, 8);
   ASSERT_TRUE(before.ok());
@@ -209,21 +277,25 @@ TEST(DeltaPublishTest, OldSnapshotStaysFrozenWhileNewChunksLand) {
   uint64_t last_version = held->version();
   for (std::size_t b = 1; b < batches.size(); ++b) {
     ASSERT_TRUE(model->Ingest(batches[b]).ok());
-    auto snap = model->PublishSnapshot();
+    auto snap = model->PublishShardedSnapshot();
     ASSERT_NE(snap, nullptr);
     EXPECT_GT(snap->version(), last_version);  // monotone under deltas
     last_version = snap->version();
   }
 
-  // The held snapshot must be byte-for-byte what it was at acquire time —
+  // The held composite must be byte-for-byte what it was at acquire time —
   // later publishes swap chunk pointers, never chunk contents.
-  for (int32_t r = 0; r < probe_rows; ++r) {
-    EXPECT_EQ(std::memcmp(frozen[static_cast<std::size_t>(r)].data(),
-                          held->center().row(r),
-                          sizeof(float) * static_cast<std::size_t>(
-                              held->dim())),
-              0)
-        << "row " << r << " mutated under the held snapshot";
+  std::size_t i = 0;
+  for (int s = 0; s < held->num_shards(); ++s) {
+    const ChunkedMatrix& rows = held->shard(s)->center();
+    for (int32_t r = 0; r < rows.rows(); ++r, ++i) {
+      EXPECT_EQ(std::memcmp(frozen[i].data(), rows.row(r),
+                            sizeof(float) * static_cast<std::size_t>(
+                                                rows.dim())),
+                0)
+          << "shard " << s << " row " << r << " mutated under the held "
+          << "snapshot";
+    }
   }
   auto after = held_engine.QueryByLocation(probe, VertexType::kWord, 8);
   ASSERT_TRUE(after.ok());
