@@ -12,8 +12,8 @@
 // "concurrent_ingest"), which exercises the composite store's atomic slot
 // under real contention. A second section, "publish_cost", times the
 // write side of one shard: microseconds per publish for the full-copy
-// (delta_publish=false) path vs the chunk-COW delta path at controlled
-// dirty-row fractions.
+// (ModelSnapshot::FromOnline) path vs the chunk-COW delta path at
+// controlled dirty-row fractions.
 // A third section, "sharding", times single-thread scatter-gather
 // queries/s through ShardedQueryEngine at 1/2/4 shards against composite
 // snapshots of the same trained model (docs/sharding.md has the 1-core
@@ -194,13 +194,13 @@ QueryRow MeasureConcurrentWithIngest(
 
 struct PublishRow {
   int dirty_pct = 0;
-  double full_us = 0.0;   // us/publish, full-copy (delta_publish=false) path
+  double full_us = 0.0;   // us/publish, full-copy (FromOnline) path
   double delta_us = 0.0;  // us/publish, chunk-COW delta path
   double speedup = 0.0;   // full_us / delta_us
 };
 
 /// Rebuilds the actor's resolver state from the public catalogue
-/// accessors, mirroring what a full (delta_publish=false) publish copies
+/// accessors, mirroring what a full-copy (FromOnline) publish copies
 /// per call: the O(units) type/name vectors plus the word-unit map. The
 /// handful of hotspot-center doubles the real path also copies is noise
 /// next to those, so omitting them only *understates* the full-copy cost.

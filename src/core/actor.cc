@@ -124,25 +124,11 @@ void TrainRecordBagOfWords(const RecordUnits& units,
                            EmbeddingMatrix* center, EmbeddingMatrix* context,
                            std::vector<float>* comp_buf,
                            std::vector<float>* grad_buf,
-                           std::vector<float>* grad2_buf,
-                           DirtyRowSet* dirty) {
+                           std::vector<float>* grad2_buf) {
   const std::size_t dim = static_cast<std::size_t>(center->dim());
   const auto& words = units.word_units;
-  // Dirty tracking for the delta publish path: every row this record step
-  // mutates — its units' center rows, positive context rows (the same
-  // unit ids), and every negative draw — lands in the shard-local set
-  // `dirty` points at (merged at the batch barrier, R4 discipline).
-  if (dirty != nullptr) {
-    dirty->Mark(units.time_unit);
-    dirty->Mark(units.location_unit);
-    for (VertexId w : words) dirty->Mark(w);
-  }
-  auto neg = [&noise, dirty](EdgeType e, VertexType t) {
-    return [&noise, dirty, e, t](Rng& r) {
-      const VertexId n = noise.Sample(e, t, r);
-      if (dirty != nullptr && n != kInvalidVertex) dirty->Mark(n);
-      return n;
-    };
+  auto neg = [&noise](EdgeType e, VertexType t) {
+    return [&noise, e, t](Rng& r) { return noise.Sample(e, t, r); };
   };
 
   // T-L pair (both orientations).
@@ -237,11 +223,6 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   Rng rng(options.seed);
   model.center.InitUniform(rng);
   model.context.InitZero();
-  // A freshly initialized model is fully dirty relative to any previous
-  // snapshot; the per-batch tracking below only matters for callers that
-  // Clear() and keep training after this run.
-  model.dirty.Resize(g.num_vertices());
-  model.dirty.MarkAll();
 
   // One persistent worker pool for the whole run — LINE pre-training, the
   // edge-sampling trainer, and the record loop all share it, so thread
@@ -250,13 +231,7 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   // (options.pool) extends that to once per *process* across runs.
   // num_threads <= 1 ignores any provided pool: the whole run stays on the
   // sequential, bit-deterministic path.
-  std::unique_ptr<ThreadPool> pool_storage;
-  ThreadPool* pool = options.num_threads > 1 ? options.pool : nullptr;
-  if (pool == nullptr && options.num_threads > 1) {
-    pool_storage = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options.num_threads));
-    pool = pool_storage.get();
-  }
+  ShardRunner runner(options.num_threads, options.pool);
 
   // --- Lines 3-4: user-graph pre-training and hierarchical init ---------
   Stopwatch pretrain_timer;
@@ -269,7 +244,7 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
     user_opts.negatives = std::max(options.negatives, 5);
     user_opts.samples_per_edge = options.user_pretrain_samples_per_edge;
     user_opts.num_threads = options.num_threads;
-    user_opts.pool = pool;
+    user_opts.pool = runner.pool();
     user_opts.seed = options.seed ^ 0xabcdef12ULL;
     user_opts.edge_types = {EdgeType::kUU};
     ACTOR_ASSIGN_OR_RETURN(LineEmbedding user_embedding,
@@ -289,9 +264,8 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   train_opts.dim = options.dim;
   train_opts.negatives = options.negatives;
   train_opts.num_threads = options.num_threads;
-  train_opts.pool = pool;
+  train_opts.pool = runner.pool();
   train_opts.seed = options.seed + 1;
-  train_opts.dirty_rows = &model.dirty;
   EdgeSamplingTrainer trainer(&g, &model.center, &model.context, &noise,
                               train_opts);
   ACTOR_RETURN_NOT_OK(trainer.Prepare());
@@ -325,13 +299,10 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
           : 0;
 
   const SigmoidTable sigmoid;
-  // Per-shard dirty scratch for the record loop, reused across epochs.
-  std::vector<DirtyRowSet> record_dirty(pool == nullptr ? 0
-                                                        : pool->num_threads());
   // Per-shard gradient scratch for the record loop, allocated at the
   // dispatch boundary: the record shard body runs on the hot path and
   // must not allocate.
-  const std::size_t record_shards = pool == nullptr ? 1 : pool->num_threads();
+  const std::size_t record_shards = runner.max_shards();
   std::vector<std::vector<float>> rec_comp(record_shards),
       rec_grad(record_shards), rec_grad2(record_shards);
   if (options.use_bag_of_words) {
@@ -368,40 +339,21 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
       // train through the record-level bag-of-words model. The analyzer
       // derives the HOGWILD scope from the ShardedRange dispatch below;
       // the shard body uses only the caller-owned per-shard scratch.
-      auto run_records = [&](int64_t count, uint64_t seed, DirtyRowSet* dirty,
-                             int t) {
-        Rng shard_rng(seed);
-        for (int64_t i = 0; i < count; ++i) {
+      const uint64_t record_step = 1000 + static_cast<uint64_t>(epoch);
+      auto run_records = [&](int t, std::size_t lo, std::size_t hi) {
+        Rng shard_rng(ShardSeed(options.seed, record_step, t));
+        const std::size_t slot = static_cast<std::size_t>(t);
+        for (std::size_t i = lo; i < hi; ++i) {
           const auto& units =
               graphs.record_units[shard_rng.Uniform(graphs.record_units.size())];
           TrainRecordBagOfWords(units, noise, sigmoid, options.negatives, lr,
                                 options.bow_sum_composite, shard_rng,
-                                &model.center, &model.context,
-                                &rec_comp[static_cast<std::size_t>(t)],
-                                &rec_grad[static_cast<std::size_t>(t)],
-                                &rec_grad2[static_cast<std::size_t>(t)],
-                                dirty);
+                                &model.center, &model.context, &rec_comp[slot],
+                                &rec_grad[slot], &rec_grad2[slot]);
         }
       };
-      const uint64_t record_step = 1000 + static_cast<uint64_t>(epoch);
-      if (pool == nullptr) {
-        run_records(records_per_epoch, ShardSeed(options.seed, record_step, 0),
-                    &model.dirty, 0);
-      } else {
-        for (auto& s : record_dirty) {
-          s.Resize(g.num_vertices());
-          s.Clear();
-        }
-        pool->ShardedRange(
-            0, static_cast<std::size_t>(records_per_epoch),
-            [&](int t, std::size_t lo, std::size_t hi) {
-              run_records(static_cast<int64_t>(hi - lo),
-                          ShardSeed(options.seed, record_step, t),
-                          &record_dirty[static_cast<std::size_t>(t)], t);
-            });
-        // Batch barrier: fold the shard-local sets into the model's.
-        for (const auto& s : record_dirty) model.dirty.MergeFrom(s);
-      }
+      runner.ShardedRange(static_cast<std::size_t>(records_per_epoch),
+                          run_records);
       model.stats.record_steps += records_per_epoch;
     }
   }
@@ -412,13 +364,12 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
 std::shared_ptr<const ModelSnapshot> PublishActorModel(
     const ActorModel& model, std::shared_ptr<const BuiltGraphs> graphs,
     std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab, const ModelSnapshot* prev) {
+    std::shared_ptr<const Vocabulary> vocab) {
   const uint64_t version = static_cast<uint64_t>(model.stats.edge_steps) +
                            static_cast<uint64_t>(model.stats.record_steps);
   return ModelSnapshot::FromBatch(model.center, &model.context,
                                   std::move(graphs), std::move(hotspots),
-                                  std::move(vocab), version, prev,
-                                  prev == nullptr ? nullptr : &model.dirty);
+                                  std::move(vocab), version);
 }
 
 }  // namespace actor

@@ -64,27 +64,13 @@ Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   model.owned_dirty_.resize(static_cast<std::size_t>(model.shards_));
   model.tiles_.resize(static_cast<std::size_t>(model.shards_));
   for (auto& tiles : model.tiles_) tiles.SetDim(options.dim);
-  // Same pool contract as EdgeSamplingTrainer: num_threads <= 1 ignores
-  // any provided pool entirely; num_threads > 1 borrows the caller's
-  // persistent pool or owns a private one for the actor's lifetime. The
-  // pool dispatches whole per-shard epochs, so the result is
-  // thread-count-invariant.
-  if (options.num_threads > 1) {
-    if (options.pool != nullptr) {
-      model.pool_ = options.pool;
-    } else {
-      model.owned_pool_ = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(options.num_threads));
-      model.pool_ = model.owned_pool_.get();
-    }
-  }
   return model;
 }
 
-// Out-of-line: owned_pool_ holds a forward-declared ThreadPool.
 OnlineActor::OnlineActor(OnlineActorOptions options)
     : options_(options),
       rng_(options.seed),
+      runner_(options.num_threads, options.pool),
       snapshots_(std::make_unique<SnapshotStore>()),
       sharded_snapshots_(std::make_unique<ShardedSnapshotStore>()) {}
 OnlineActor::~OnlineActor() = default;
@@ -316,26 +302,20 @@ Status OnlineActor::TrainBatch() {
     const int64_t* const samples_base = samples.data();
     // One epoch per shard: each epoch writes only shard-owned rows and its
     // own dirty set, so the epochs are mutually write-isolated and the
-    // result is bit-identical whether they run sequentially or on the
-    // pool — training is deterministic at ANY thread count.
-    if (pool_ == nullptr || shards_ == 1) {
-      for (int s = 0; s < shards_; ++s) {
-        if (samples[static_cast<std::size_t>(s)] <= 0) continue;
-        TrainShardEpoch(e, s, samples[static_cast<std::size_t>(s)],
-                        ShardSeed(options_.seed, step, static_cast<uint64_t>(s)),
-                        &owned_dirty_[static_cast<std::size_t>(s)],
-                        grad_base + static_cast<std::size_t>(s) * dim);
-      }
-    } else {
-      pool_->ParallelFor(
-          0, static_cast<std::size_t>(shards_),
-          [this, e, step, grad_base, samples_base, dim](std::size_t s) {
-            if (samples_base[s] <= 0) return;
+    // result is bit-identical however the runner groups them — training
+    // is deterministic at ANY thread count. The runner's chunk id is
+    // unused: scratch and seeds are keyed by the model shard s.
+    runner_.ShardedRange(
+        static_cast<std::size_t>(shards_),
+        [this, e, step, grad_base, samples_base, dim](
+            int /*chunk*/, std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            if (samples_base[s] <= 0) continue;
             TrainShardEpoch(e, static_cast<int>(s), samples_base[s],
                             ShardSeed(options_.seed, step, s),
                             &owned_dirty_[s], grad_base + s * dim);
-          });
-    }
+          }
+        });
     train_steps_ += static_cast<uint64_t>(total);
   }
   // Sweep both matrices for NaN/inf after every batch in debug builds
@@ -345,7 +325,7 @@ Status OnlineActor::TrainBatch() {
   return Status::OK();
 }
 
-// May run concurrently with the other shards' epochs (ParallelFor
+// May run concurrently with the other shards' epochs (ShardedRange
 // dispatch), but every write lands in shard-s-owned state: center/context
 // rows of owned vertices, the private remote-tile copies, and this shard's
 // own dirty set. Allocation-free: `grad` scratch is owned by the dispatch
@@ -582,8 +562,9 @@ OnlineActor::PublishShardedSnapshot() {
         prev != nullptr ? prev->shard(s) : nullptr;
     std::shared_ptr<const ModelSnapshot> snap_s;
     // Per-shard delta against the shard's own previous snapshot, driven by
-    // its persistent LOCAL-row dirty set.
-    if (options_.delta_publish && prev_s != nullptr) {
+    // its persistent LOCAL-row dirty set; a shard's first publish is a
+    // full copy.
+    if (prev_s != nullptr) {
       snap_s = prev_s->num_units() == center.rows()
                    ? ModelSnapshot::FromOnlineDelta(center, version, prev_s,
                                                     dirty)

@@ -22,11 +22,10 @@
 #include "shard/vertex_partitioner.h"
 #include "util/result.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/vec_math.h"
 
 namespace actor {
-
-class ThreadPool;
 
 /// Options for the streaming extension (docs/streaming.md; modeled on the
 /// recency-aware direction of the authors' ReAct [8], which the paper
@@ -63,15 +62,15 @@ struct OnlineActorOptions {
 
   /// Worker threads for the per-batch re-embed phase. With
   /// num_threads <= 1 the shard epochs run one after another on the ingest
-  /// thread; with more threads they run one shard per pool task. Every
-  /// epoch writes only shard-owned state, so the result is bit-identical
-  /// either way — parallelism comes from num_shards, not from splitting a
-  /// shard's sample budget.
+  /// thread; with more threads the shards are split across the pool's
+  /// workers. Every epoch writes only shard-owned state, so the result is
+  /// bit-identical either way — parallelism comes from num_shards, not
+  /// from splitting a shard's sample budget.
   int num_threads = 1;
-  /// Externally-owned persistent worker pool. When null and
-  /// num_threads > 1 the actor creates its own pool, kept for the actor's
-  /// lifetime. The pool must outlive the actor; num_threads <= 1 ignores
-  /// the pool entirely.
+  /// Externally-owned persistent worker pool (ShardRunner policy,
+  /// util/thread_pool.h). When null and num_threads > 1 the actor creates
+  /// its own pool, kept for the actor's lifetime. The pool must outlive
+  /// the actor; num_threads <= 1 ignores the pool entirely.
   ThreadPool* pool = nullptr;
 
   /// When true (default), per-edge-type samplers are cached across batches
@@ -80,17 +79,6 @@ struct OnlineActorOptions {
   /// batch reconstructs all samplers from scratch — the pre-port behavior,
   /// kept as an A/B lever for bench/online_throughput.
   bool incremental_sampler = true;
-
-  /// When true (default), PublishShardedSnapshot() is a delta publish:
-  /// each shard copies only the chunks of its center matrix containing
-  /// rows dirtied since its previous snapshot; clean chunks and (when the
-  /// shard gained no unit) its catalogue are shared (docs/serving.md).
-  /// When false, every shard is the pre-delta full copy — bit-identical
-  /// snapshot contents and query results either way (locked in by
-  /// serve_delta_publish_test); kept as an A/B lever for
-  /// bench/query_throughput's publish_cost section. PublishSnapshot() is
-  /// always a full copy.
-  bool delta_publish = true;
 
   /// Ownership partitioning (docs/sharding.md): a VertexPartitioner
   /// assigns every unit to one of `num_shards` shards, each shard trains
@@ -115,8 +103,8 @@ struct OnlineActorOptions {
 /// Each Ingest() runs the cycle described in docs/streaming.md:
 ///   validate -> decay -> resolve units -> accumulate co-occurrences ->
 ///   remote-tile refresh -> incremental sampler rebuild -> re-embed.
-/// The re-embed phase runs one trainer epoch per shard per edge type, on
-/// the shared ThreadPool when num_threads > 1. Per-shard RNG streams derive
+/// The re-embed phase runs one trainer epoch per shard per edge type,
+/// dispatched through a ShardRunner (on the pool when num_threads > 1). Per-shard RNG streams derive
 /// from ShardSeed, and all row arithmetic goes through the
 /// runtime-dispatched kernels in util/vec_math.h (so the TSan `relaxed`
 /// backend covers the streaming path too).
@@ -211,9 +199,11 @@ class OnlineActor {
   /// Publishes the current model as a composite of per-shard chunk-COW
   /// ModelSnapshots plus a frozen ShardMapSnapshot, installed atomically
   /// as ONE pointer swap — readers never see shards at mixed versions.
-  /// With delta_publish each shard deltas against its own previous
-  /// snapshot using its per-shard dirty set. Same no-op-at-unchanged-
-  /// version and ingest-thread-only contract as PublishSnapshot().
+  /// Each shard deltas against its own previous snapshot using its
+  /// per-shard dirty set (only chunks holding a dirty row are copied; the
+  /// catalogue is shared when the shard gained no unit); a shard's first
+  /// publish is a full copy. Same no-op-at-unchanged-version and
+  /// ingest-thread-only contract as PublishSnapshot().
   std::shared_ptr<const ShardedModelSnapshot> PublishShardedSnapshot();
 
   /// Latest composite snapshot (null before the first
@@ -238,7 +228,7 @@ class OnlineActor {
     NoiseTable noise[kNumVertexTypes];
   };
 
-  explicit OnlineActor(OnlineActorOptions options);  // out-of-line: pool_
+  explicit OnlineActor(OnlineActorOptions options);
 
   VertexId AddUnit(VertexType type, std::string name);
   /// Assign-or-spawn for the two hotspot families.
@@ -261,7 +251,8 @@ class OnlineActor {
   /// replica store, trains only orientations whose center endpoint it
   /// owns, resolves remote positive-context rows through tiles_[s], and
   /// marks `dirty` (= owned_dirty_[s], exclusively this shard's) with
-  /// LOCAL row ids. Dispatched one shard per pool task; the body is
+  /// LOCAL row ids. Dispatched through runner_, which splits the shards
+  /// across the pool's workers; the body is
   /// allocation-free — `grad` is caller-owned scratch of length
   /// options_.dim.
   void TrainShardEpoch(int e, int s, int64_t num_samples, uint64_t seed,
@@ -326,8 +317,8 @@ class OnlineActor {
   /// refreshed at the batch barrier (RefreshRemoteTiles).
   std::vector<RemoteTileCache> tiles_;
 
-  ThreadPool* pool_ = nullptr;              // null => sequential re-embed
-  std::unique_ptr<ThreadPool> owned_pool_;  // backs pool_ when not borrowed
+  /// Dispatches the per-shard epochs (inline at num_threads <= 1).
+  ShardRunner runner_;
 
   /// Atomic slot for the latest flat snapshot. unique_ptr because the
   /// store holds a std::atomic (non-movable) and OnlineActor is movable.

@@ -1,7 +1,6 @@
 #include "data/dataset_io.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 
 #include "util/string_util.h"
@@ -14,26 +13,6 @@ std::string SanitizeText(std::string text) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
   return text;
-}
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -78,6 +57,16 @@ Result<Corpus> LoadCorpusTsv(const std::string& path) {
         !ParseDouble(fields[4], &rec.location.y)) {
       return Status::InvalidArgument(
           StrPrintf("%s:%zu: malformed numeric field", path.c_str(), line_no));
+    }
+    // strtod accepts "nan" and "inf"; a non-finite coordinate or timestamp
+    // would corrupt hotspot detection downstream.
+    const char* non_finite = !std::isfinite(rec.timestamp)    ? "timestamp"
+                             : !std::isfinite(rec.location.x) ? "x"
+                             : !std::isfinite(rec.location.y) ? "y"
+                                                              : nullptr;
+    if (non_finite != nullptr) {
+      return Status::InvalidArgument(StrPrintf(
+          "%s:%zu: non-finite %s", path.c_str(), line_no, non_finite));
     }
     if (!fields[5].empty()) {
       for (const auto& m : Split(fields[5], ',')) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "embedding/negative_sampler.h"
 #include "embedding/sgd.h"
@@ -86,28 +85,20 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   const SigmoidTable sigmoid;
 
   std::atomic<int64_t> progress{0};
-  // Run on the caller's persistent pool when provided; otherwise spin up a
-  // pool for this call (only when actually multi-threaded). num_threads <= 1
-  // ignores any pool: sequential and bit-deterministic.
-  ThreadPool* pool = options.num_threads > 1 ? options.pool : nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options.num_threads));
-    pool = owned_pool.get();
-  }
+  // Runs on the caller's persistent pool when provided; otherwise the
+  // runner owns one for this call (num_threads <= 1 runs inline).
+  ShardRunner runner(options.num_threads, options.pool);
   // Per-shard gradient scratch, allocated at the dispatch boundary: the
   // shard body runs on the hot path and must not allocate.
   const std::size_t dim = static_cast<std::size_t>(options.dim);
-  const std::size_t num_shards = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<float> shard_grad(num_shards * dim);
+  std::vector<float> shard_grad(runner.max_shards() * dim);
   float* const grad_base = shard_grad.data();
   // The analyzer derives this lambda's HOGWILD scope from the ShardedRange
   // dispatch below (shared rows only through the fused kernels).
-  auto shard = [&](int thread_id, int64_t samples) {
+  auto shard = [&](int thread_id, std::size_t lo, std::size_t hi) {
     Rng rng(ShardSeed(options.seed, /*step=*/0x11e5u, thread_id));
     float* const grad = grad_base + static_cast<std::size_t>(thread_id) * dim;
-    for (int64_t i = 0; i < samples; ++i) {
+    for (std::size_t i = lo; i < hi; ++i) {
       // Linear learning-rate decay over the global budget.
       const int64_t done = progress.fetch_add(1, std::memory_order_relaxed);
       const float frac =
@@ -125,14 +116,7 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
     }
   };
 
-  if (pool == nullptr || pool->num_threads() == 1) {
-    shard(0, total_samples);
-  } else {
-    pool->ShardedRange(0, static_cast<std::size_t>(total_samples),
-                       [&shard](int t, std::size_t lo, std::size_t hi) {
-                         shard(t, static_cast<int64_t>(hi - lo));
-                       });
-  }
+  runner.ShardedRange(static_cast<std::size_t>(total_samples), shard);
 
   if (!second_order) result.context = result.center.Clone();
   return result;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "embedding/dirty_rows.h"
 #include "embedding/embedding_matrix.h"
 #include "embedding/negative_sampler.h"
 #include "graph/alias_table.h"
@@ -12,11 +11,10 @@
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/vec_math.h"
 
 namespace actor {
-
-class ThreadPool;
 
 /// Derives the RNG seed for one trainer shard. Every input is passed
 /// through SplitMix64 rounds so shard streams stay uncorrelated across
@@ -101,22 +99,12 @@ struct TrainOptions {
   float initial_lr = 0.025f;
   int num_threads = 1;
   uint64_t seed = 1;
-  /// Externally-owned persistent worker pool. When null and
-  /// num_threads > 1 the trainer creates its own pool, kept alive for the
-  /// trainer's lifetime — never per TrainEdgeType call. The pool must
-  /// outlive the trainer; when num_threads > 1 its worker count overrides
-  /// num_threads, and num_threads <= 1 ignores the pool (sequential,
-  /// bit-deterministic path).
+  /// Externally-owned persistent worker pool, resolved by the trainer's
+  /// ShardRunner: borrowed when num_threads > 1 (its worker count then
+  /// overrides num_threads; it must outlive the trainer), otherwise a
+  /// pool is owned for the trainer's lifetime — never per TrainEdgeType
+  /// call. num_threads <= 1 ignores it (sequential, bit-deterministic).
   ThreadPool* pool = nullptr;
-
-  /// Dirty-row tracking for the delta publish path (docs/serving.md).
-  /// When non-null, every TrainEdgeType call records the rows it touched —
-  /// center rows, positive context rows, and negative draws, one union set
-  /// — into this caller-owned set: shard-local sets inside the HOGWILD
-  /// region, merged here at the batch barrier (after ShardedRange
-  /// returns). Must cover the matrices' rows (Resize) and outlive the
-  /// trainer. Null (default) disables tracking at zero cost.
-  DirtyRowSet* dirty_rows = nullptr;
 };
 
 /// Asynchronous stochastic gradient trainer over typed edges (paper
@@ -132,9 +120,6 @@ class EdgeSamplingTrainer {
                       EmbeddingMatrix* context,
                       const TypedNegativeSampler* negative_sampler,
                       TrainOptions options);
-
-  // Out-of-line: owned_pool_ holds a forward-declared ThreadPool.
-  ~EdgeSamplingTrainer();
 
   /// Builds the per-edge-type alias tables. Must be called once before
   /// TrainEdgeType. Edge types with no edges are skipped silently.
@@ -157,12 +142,10 @@ class EdgeSamplingTrainer {
   bool prepared() const { return prepared_; }
 
  private:
-  /// `dirty` is the shard-local dirty set for this shard (or the merged
-  /// set directly on the sequential path); null when tracking is off.
   /// `grad` is caller-owned gradient scratch of length dim() — shard
   /// bodies run on the hot path and must not allocate.
   void TrainShard(EdgeType e, int64_t num_samples, float lr, uint64_t seed,
-                  DirtyRowSet* dirty, float* grad);
+                  float* grad);
 
   const Heterograph* graph_;
   EmbeddingMatrix* center_;
@@ -173,11 +156,7 @@ class EdgeSamplingTrainer {
   bool prepared_ = false;
   std::vector<std::unique_ptr<AliasTable>> edge_tables_;  // per edge type
   int64_t steps_done_ = 0;
-  ThreadPool* pool_ = nullptr;            // null => single-threaded
-  std::unique_ptr<ThreadPool> owned_pool_;  // backs pool_ when not borrowed
-  /// Per-shard dirty scratch, merged into options_.dirty_rows at the
-  /// TrainEdgeType barrier (allocation-free at steady state).
-  std::vector<DirtyRowSet> shard_dirty_;
+  ShardRunner runner_;
 };
 
 }  // namespace actor

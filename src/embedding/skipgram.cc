@@ -84,13 +84,19 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
   // learning-rate decay follows the global schedule.
   std::atomic<int64_t> done{0};
 
+  // num_threads <= 1 ignores any provided pool and runs inline.
+  ShardRunner runner(options.num_threads, options.pool);
+  // Per-shard gradient scratch, allocated at the dispatch boundary: the
+  // shard body runs on the hot path and must not allocate.
+  std::vector<float> shard_grad(runner.max_shards() * dim);
+  float* const grad_base = shard_grad.data();
   // Trains every walk in [walk_lo, walk_hi), all epochs. Shards update the
   // shared matrices lock-free (HOGWILD) — the analyzer derives this scope
   // from the named-lambda ShardedRange dispatch below.
   auto train_walks = [&](int shard, std::size_t walk_lo,
                          std::size_t walk_hi) {
     Rng rng(ShardSeed(options.seed, /*step=*/1, shard));
-    std::vector<float> grad(dim);
+    float* const grad = grad_base + static_cast<std::size_t>(shard) * dim;
     for (int epoch = 0; epoch < options.epochs; ++epoch) {
       for (std::size_t w = walk_lo; w < walk_hi; ++w) {
         const auto& walk = walks[w];
@@ -113,34 +119,22 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
                   typed[static_cast<int>(graph.vertex_type(ctx))];
               if (t.table != nullptr) noise = &t;
             }
-            Zero(grad.data(), dim);
+            Zero(grad, dim);
             NegativeSamplingUpdate(
                 result.center.row(center), ctx, options.negatives, lr,
                 &result.context, sigmoid, rng,
                 [noise](Rng& r) {
                   return noise->candidates[noise->table->Sample(r)];
                 },
-                grad.data());
-            Add(grad.data(), result.center.row(center), dim);
+                grad);
+            Add(grad, result.center.row(center), dim);
           }
         }
       }
     }
   };
 
-  // num_threads <= 1 ignores any provided pool (sequential path).
-  ThreadPool* pool = options.num_threads > 1 ? options.pool : nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options.num_threads));
-    pool = owned_pool.get();
-  }
-  if (pool == nullptr || pool->num_threads() == 1) {
-    train_walks(0, 0, walks.size());
-  } else {
-    pool->ShardedRange(0, walks.size(), train_walks);
-  }
+  runner.ShardedRange(walks.size(), train_walks);
   return result;
 }
 

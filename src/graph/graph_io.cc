@@ -1,6 +1,8 @@
 #include "graph/graph_io.h"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <unordered_set>
 
 #include "util/string_util.h"
@@ -14,6 +16,17 @@ Result<VertexType> ParseVertexType(const std::string& s) {
   if (s == "W") return VertexType::kWord;
   if (s == "U") return VertexType::kUser;
   return Status::InvalidArgument("unknown vertex type: " + s);
+}
+
+/// A vertex id spanning all of `s`, in [0, max VertexId].
+bool ParseVertexId(const std::string& s, VertexId* out) {
+  int64_t v = 0;
+  if (!ParseInt64(s, &v) || v < 0 ||
+      v > std::numeric_limits<VertexId>::max()) {
+    return false;
+  }
+  *out = static_cast<VertexId>(v);
+  return true;
 }
 
 }  // namespace
@@ -61,8 +74,10 @@ Result<Heterograph> LoadHeterograph(const std::string& path) {
     };
     if (fields[0] == "V") {
       if (fields.size() != 4) return malformed("V row needs 4 fields");
-      const VertexId id =
-          static_cast<VertexId>(std::strtol(fields[1].c_str(), nullptr, 10));
+      VertexId id = 0;
+      if (!ParseVertexId(fields[1], &id)) {
+        return malformed("V row has a malformed vertex id");
+      }
       if (id != next_vertex) {
         return malformed("vertex ids must be dense and in order");
       }
@@ -71,11 +86,15 @@ Result<Heterograph> LoadHeterograph(const std::string& path) {
       ++next_vertex;
     } else if (fields[0] == "E") {
       if (fields.size() != 4) return malformed("E row needs 4 fields");
-      const VertexId src =
-          static_cast<VertexId>(std::strtol(fields[1].c_str(), nullptr, 10));
-      const VertexId dst =
-          static_cast<VertexId>(std::strtol(fields[2].c_str(), nullptr, 10));
-      const double weight = std::strtod(fields[3].c_str(), nullptr);
+      VertexId src = 0;
+      VertexId dst = 0;
+      double weight = 0.0;
+      if (!ParseVertexId(fields[1], &src) || !ParseVertexId(fields[2], &dst)) {
+        return malformed("E row has a malformed vertex id");
+      }
+      if (!ParseDouble(fields[3], &weight)) {
+        return malformed("E row has a malformed weight");
+      }
       ACTOR_RETURN_NOT_OK(graph.AccumulateEdge(src, dst, weight));
     } else {
       return malformed("row must start with V or E");

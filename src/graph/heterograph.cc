@@ -1,6 +1,7 @@
 #include "graph/heterograph.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -26,8 +27,9 @@ Status Heterograph::AccumulateEdge(VertexId u, VertexId v, double weight) {
   if (u == v) {
     return Status::InvalidArgument("self-loops are not allowed");
   }
-  if (weight <= 0.0) {
-    return Status::InvalidArgument("edge weight must be positive");
+  // Written so NaN fails too; +inf would poison the alias table's sums.
+  if (!(weight > 0.0) || !std::isfinite(weight)) {
+    return Status::InvalidArgument("edge weight must be positive and finite");
   }
   ACTOR_ASSIGN_OR_RETURN(EdgeType type,
                          EdgeTypeBetween(types_[u], types_[v]));

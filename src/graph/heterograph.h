@@ -38,8 +38,8 @@ class Heterograph {
   VertexId AddVertex(VertexType type, std::string name);
 
   /// Adds `weight` to the undirected edge {u, v}. The edge type is derived
-  /// from the endpoint vertex types. Self-loops are rejected. Fails after
-  /// Finalize().
+  /// from the endpoint vertex types. Self-loops and weights that are not
+  /// positive and finite are rejected. Fails after Finalize().
   Status AccumulateEdge(VertexId u, VertexId v, double weight = 1.0);
 
   /// Freezes the graph. Idempotent-fails: calling twice is an error.

@@ -175,16 +175,13 @@ Result<std::vector<GeoPoint>> MeanShiftModes2d(
   };
 
   std::vector<Mode> trajectories(seeds.size());
-  if (options.num_threads > 1) {
-    ThreadPool pool(options.num_threads);
-    pool.ParallelFor(0, seeds.size(), [&](std::size_t i) {
-      trajectories[i] = run_trajectory(seeds[i].second);
-    });
-  } else {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      trajectories[i] = run_trajectory(seeds[i].second);
-    }
-  }
+  ShardRunner runner(options.num_threads, /*pool=*/nullptr);
+  runner.ShardedRange(seeds.size(),
+                      [&](int /*shard*/, std::size_t lo, std::size_t hi) {
+                        for (std::size_t i = lo; i < hi; ++i) {
+                          trajectories[i] = run_trajectory(seeds[i].second);
+                        }
+                      });
 
   // Sequential merge in seed order (order-dependent, hence not parallel).
   std::vector<Mode> modes;

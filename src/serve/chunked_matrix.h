@@ -19,8 +19,8 @@ namespace actor {
 /// 32-byte alignment contract as EmbeddingMatrix (padding floats zero, so
 /// the SIMD kernels see the exact layout the flat matrix would give them).
 ///
-/// FullCopy() materializes every chunk — the flat-deep-copy publish path,
-/// kept alive by the delta_publish=false A/B lever. DeltaCopy() clones only
+/// FullCopy() materializes every chunk — the batch publish, the flat
+/// bridge, and a shard's first composite publish. DeltaCopy() clones only
 /// chunks containing a dirty row and shares the rest with the previous
 /// snapshot's ChunkedMatrix, so publish cost is proportional to the rows
 /// the last batch touched, not the model. Shared chunks are safe because

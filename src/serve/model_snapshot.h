@@ -30,13 +30,14 @@ namespace actor {
 /// copied into an immutable ChunkedMatrix and the result is handed out
 /// through SnapshotStore's atomic shared_ptr slot. Two publish flavors
 /// share one storage layout:
-///   - full copy (the delta_publish=false A/B path): every chunk is
-///     materialized, O(units x dim) per publish;
-///   - delta publish: only chunks containing rows the trainer marked
-///     dirty since the previous snapshot are copied; every clean chunk —
-///     and, on the online path, the whole unit catalogue when no unit was
-///     added — is shared with the previous snapshot by shared_ptr, so
-///     publish cost is proportional to the ingest batch.
+///   - full copy (FromBatch, FromOnline, and a shard's first publish):
+///     every chunk is materialized, O(units x dim) per publish;
+///   - delta publish (FromOnlineDelta, the streaming path's steady state):
+///     only chunks containing rows the trainer marked dirty since the
+///     previous snapshot are copied; every clean chunk — and the whole
+///     unit catalogue when no unit was added — is shared with the previous
+///     snapshot by shared_ptr, so publish cost is proportional to the
+///     ingest batch.
 /// Either way a query holding a snapshot sees one consistent model
 /// version forever — later publishes swap chunk *pointers*, never chunk
 /// contents — and readers never block writers.
@@ -71,23 +72,16 @@ class ModelSnapshot {
   /// center). `graphs` and `hotspots` are required; `vocab` may be null,
   /// in which case KeywordVertex()/LookupWord() report every keyword as
   /// unknown. The shared structures must not be mutated after publishing.
-  ///
-  /// When `prev` and `dirty` are given, both matrices are delta-copied
-  /// against `prev`'s (chunks with no dirty row are shared). `dirty` must
-  /// cover every center *and* context row mutated since `prev` was
-  /// published from the same model (one union set — the trainers mark
-  /// center rows, positive context rows, and negative draws alike).
   static std::shared_ptr<const ModelSnapshot> FromBatch(
       const EmbeddingMatrix& center, const EmbeddingMatrix* context,
       std::shared_ptr<const BuiltGraphs> graphs,
       std::shared_ptr<const Hotspots> hotspots,
-      std::shared_ptr<const Vocabulary> vocab, uint64_t version,
-      const ModelSnapshot* prev = nullptr,
-      const DirtyRowSet* dirty = nullptr);
+      std::shared_ptr<const Vocabulary> vocab, uint64_t version);
 
   /// Publishes a streaming model with a full copy: every chunk of `center`
   /// is materialized and `catalog` (already a copy of the actor's resolver
-  /// state) is adopted. This is the delta_publish=false A/B path.
+  /// state) is adopted: OnlineActor::PublishSnapshot's flat bridge, and a
+  /// shard's first composite publish.
   static std::shared_ptr<const ModelSnapshot> FromOnline(
       const EmbeddingMatrix& center, OnlineCatalog catalog, uint64_t version);
 

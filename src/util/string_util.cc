@@ -1,10 +1,32 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace actor {
+
+bool ParseInt64(const std::string& s, int64_t* out) {
+  if (s.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
 
 std::vector<std::string> Split(std::string_view s, char delim) {
   std::vector<std::string> out;

@@ -1,6 +1,7 @@
 #ifndef ACTOR_UTIL_STRING_UTIL_H_
 #define ACTOR_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,15 @@ std::string_view Trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses a base-10 integer that spans all of `s` (no leading or trailing
+/// junk, no overflow). Returns false and leaves `*out` alone otherwise.
+bool ParseInt64(const std::string& s, int64_t* out);
+
+/// Parses a floating-point number that spans all of `s`, rejecting
+/// overflow. "nan" and "inf" parse; callers that need a finite value check
+/// it themselves.
+bool ParseDouble(const std::string& s, double* out);
 
 /// printf-style formatting into a std::string.
 std::string StrPrintf(const char* fmt, ...)

@@ -35,14 +35,6 @@ void ThreadPool::Wait() {
   done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& fn) {
-  ShardedRange(begin, end,
-               [&fn](int /*shard*/, std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) fn(i);
-               });
-}
-
 void ThreadPool::ShardedRange(
     std::size_t begin, std::size_t end,
     const std::function<void(int, std::size_t, std::size_t)>& fn) {
@@ -57,6 +49,27 @@ void ThreadPool::ShardedRange(
     Submit([c, lo, hi, &fn] { fn(static_cast<int>(c), lo, hi); });
   }
   Wait();
+}
+
+ShardRunner::ShardRunner(int num_threads, ThreadPool* pool) {
+  if (num_threads <= 1) return;
+  if (pool == nullptr) {
+    owned_ = std::make_unique<ThreadPool>(
+        static_cast<std::size_t>(num_threads));
+    pool = owned_.get();
+  }
+  pool_ = pool;
+}
+
+void ShardRunner::ShardedRange(
+    std::size_t n,
+    const std::function<void(int, std::size_t, std::size_t)>& fn) {
+  if (n == 0) return;
+  if (std::min(n, max_shards()) == 1) {
+    fn(0, 0, n);
+    return;
+  }
+  pool_->ShardedRange(0, n, fn);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -355,7 +355,6 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
   options.num_shards = kThreads;
   options.num_threads = kThreads;
   options.pool = &train_pool;
-  options.delta_publish = true;  // explicit: this is the delta smoke
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
@@ -448,7 +447,6 @@ TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
   options.num_shards = 2;
   options.num_threads = kThreads;
   options.pool = &train_pool;
-  options.delta_publish = true;  // per-shard chunk-COW under concurrency
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());

@@ -6,6 +6,7 @@
 
 #include "data/synthetic.h"
 #include "eval/pipeline.h"
+#include "test_digest.h"
 #include "util/vec_math.h"
 
 namespace actor {
@@ -73,6 +74,59 @@ TEST_F(ActorTest, DeterministicSingleThread) {
       ASSERT_FLOAT_EQ(a->center.row(r)[d], b->center.row(r)[d]);
     }
   }
+}
+
+// Pins the trained values of the single-threaded offline pipeline: LINE
+// pre-training of the user graph, the edge-sampling trainer and, with the
+// bag of words, the record loop. The digest covers center then context
+// rows, so any change to the trainers' arithmetic, sampling order or
+// seeding fails here. Each kernel backend has its own digest; the relaxed
+// kernels compute exactly what the scalar ones do. FP contraction
+// (-march=native on an FMA host) changes the bits, so such builds are not
+// covered.
+TEST_F(ActorTest, SingleThreadMatchesRecordedDigests) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "digests are recorded without FP contraction";
+#endif
+  struct Golden {
+    VecBackend backend;
+    uint64_t bag_of_words;  // use_bag_of_words = true (default)
+    uint64_t plain;         // use_bag_of_words = false
+  };
+  const Golden goldens[] = {
+      {VecBackend::kScalar, 0x5f3e0dbad9bc70d6ull, 0x205cf41943239829ull},
+      {VecBackend::kRelaxed, 0x5f3e0dbad9bc70d6ull, 0x205cf41943239829ull},
+      {VecBackend::kAvx2, 0x5aa3d4edc2d92e03ull, 0x5dc532a31d38dc33ull},
+  };
+  auto digest = [](bool bag_of_words) -> uint64_t {
+    ActorOptions o = FastOptions();
+    o.use_bag_of_words = bag_of_words;
+    auto model = TrainActor(*data_->graphs, o);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    if (!model.ok()) return 0;
+    Fnv1a h;
+    h.Rows(model->center);
+    h.Rows(model->context);
+    return h.h;
+  };
+  const VecBackend original = ActiveVecBackend();
+  int checked = 0;
+  for (const Golden& golden : goldens) {
+    // A backend the host or build cannot install (AVX2 absent; TSan
+    // builds install only the relaxed kernels) is skipped.
+    if (SetVecBackend(golden.backend) != golden.backend) continue;
+    const uint64_t bow = digest(true);
+    const uint64_t plain = digest(false);
+    EXPECT_EQ(bow, golden.bag_of_words)
+        << VecBackendName(golden.backend) << " bag-of-words digest 0x"
+        << std::hex << bow;
+    EXPECT_EQ(plain, golden.plain)
+        << VecBackendName(golden.backend) << " plain digest 0x" << std::hex
+        << plain;
+    ++checked;
+  }
+  SetVecBackend(original);
+  EXPECT_GT(checked, 0);
 }
 
 TEST_F(ActorTest, SeedChangesResult) {

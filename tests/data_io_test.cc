@@ -112,6 +112,41 @@ TEST_F(DataIoTest, MalformedMentionIsError) {
   EXPECT_TRUE(loaded.status().IsInvalidArgument());
 }
 
+TEST_F(DataIoTest, NonFiniteNumbersNameFileAndLine) {
+  // strtod parses "nan" and "inf"; the loader must still reject them, and
+  // say where. The bad value sits on line 2 behind a valid line 1.
+  struct Case {
+    const char* timestamp;
+    const char* x;
+    const char* y;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"nan", "1.0", "1.0", "timestamp"},
+      {"inf", "1.0", "1.0", "timestamp"},
+      {"3.0", "-inf", "1.0", "x"},
+      {"3.0", "1.0", "NAN", "y"},
+      {"3.0", "1.0", "infinity", "y"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    {
+      std::ofstream out(path_);
+      out << "1\t2\t3.0\t1.0\t1.0\t\ttext\n";
+      out << "2\t2\t" << c.timestamp << "\t" << c.x << "\t" << c.y
+          << "\t\ttext\n";
+    }
+    auto loaded = LoadCorpusTsv(path_);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument())
+        << loaded.status().ToString();
+    const std::string message = loaded.status().ToString();
+    EXPECT_NE(message.find(path_ + ":2:"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("non-finite ") + c.field),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST_F(DataIoTest, EmptyLinesSkipped) {
   std::ofstream out(path_);
   out << "1\t2\t3.0\t1.0\t1.0\t\ttext\n\n";

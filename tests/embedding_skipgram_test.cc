@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "test_digest.h"
 #include "util/vec_math.h"
 
 namespace actor {
@@ -122,6 +123,40 @@ TEST(SkipGramTest, DeterministicForSeed) {
       EXPECT_FLOAT_EQ(a->center.row(r)[d], b->center.row(r)[d]);
     }
   }
+}
+
+// Pins the trained values of single-threaded skip-gram (center then
+// context rows), one digest per kernel backend; FMA builds are not
+// covered (see ActorTest.SingleThreadMatchesRecordedDigests).
+TEST(SkipGramTest, SingleThreadMatchesRecordedDigests) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "digests are recorded without FP contraction";
+#endif
+  struct Golden {
+    VecBackend backend;
+    uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {VecBackend::kScalar, 0x1e9acc5caafb3430ull},
+      {VecBackend::kRelaxed, 0x1e9acc5caafb3430ull},
+      {VecBackend::kAvx2, 0x2dc15ac558e6dc90ull},
+  };
+  Heterograph g = PathGraph();
+  const VecBackend original = ActiveVecBackend();
+  int checked = 0;
+  for (const Golden& golden : goldens) {
+    if (SetVecBackend(golden.backend) != golden.backend) continue;
+    auto result = TrainSkipGramOnWalks(g, ClusteredWalks(20), FastOptions());
+    ASSERT_TRUE(result.ok());
+    Fnv1a h;
+    h.Rows(result->center);
+    h.Rows(result->context);
+    EXPECT_EQ(h.h, golden.digest)
+        << VecBackendName(golden.backend) << " digest 0x" << std::hex << h.h;
+    ++checked;
+  }
+  SetVecBackend(original);
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace actor {
 namespace {
@@ -119,12 +120,19 @@ TEST(HeterographTest, OutOfRangeVertexRejected) {
   EXPECT_TRUE(g.AccumulateEdge(-1, 0).IsInvalidArgument());
 }
 
-TEST(HeterographTest, NonPositiveWeightRejected) {
+TEST(HeterographTest, NonPositiveOrNonFiniteWeightRejected) {
   Heterograph g;
   g.AddVertex(VertexType::kWord, "a");
   g.AddVertex(VertexType::kWord, "b");
   EXPECT_TRUE(g.AccumulateEdge(0, 1, 0.0).IsInvalidArgument());
   EXPECT_TRUE(g.AccumulateEdge(0, 1, -1.0).IsInvalidArgument());
+  EXPECT_TRUE(g.AccumulateEdge(0, 1, std::numeric_limits<double>::quiet_NaN())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(g.AccumulateEdge(0, 1, std::numeric_limits<double>::infinity())
+                  .IsInvalidArgument());
+  // Nothing was accumulated: the edge is absent after finalizing.
+  ASSERT_TRUE(g.Finalize().ok());
+  EXPECT_EQ(g.edges(EdgeType::kWW).size(), 0u);
 }
 
 TEST(HeterographTest, UnsupportedTypePairRejected) {

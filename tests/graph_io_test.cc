@@ -113,5 +113,38 @@ TEST_F(GraphIoTest, BadEdgeEndpointRejected) {
   EXPECT_TRUE(LoadHeterograph(path_).status().IsInvalidArgument());
 }
 
+TEST_F(GraphIoTest, VertexIdsMustBeWholeIntegers) {
+  // strtol-style prefix parsing would read "1x" as 1 and "x" as 0.
+  const char* const rows[] = {
+      "V\tx\tT\ta\n",
+      "V\t0x\tT\ta\n",
+      "V\t\tT\ta\n",
+      "V\t0\tT\ta\nV\t1\tL\tb\nE\t0\t1x\t1.0\n",
+      "V\t0\tT\ta\nV\t1\tL\tb\nE\tx\t1\t1.0\n",
+      "V\t0\tT\ta\nV\t1\tL\tb\nE\t0\t4294967297\t1.0\n",
+  };
+  for (const char* row : rows) {
+    SCOPED_TRACE(row);
+    {
+      std::ofstream out(path_);
+      out << row;
+    }
+    const Status status = LoadHeterograph(path_).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  }
+}
+
+TEST_F(GraphIoTest, EdgeWeightsMustBeWholeFiniteNumbers) {
+  for (const char* weight : {"1.0abc", "", "x", "nan", "inf", "-inf"}) {
+    SCOPED_TRACE(weight);
+    {
+      std::ofstream out(path_);
+      out << "V\t0\tT\ta\nV\t1\tL\tb\nE\t0\t1\t" << weight << "\n";
+    }
+    const Status status = LoadHeterograph(path_).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace actor

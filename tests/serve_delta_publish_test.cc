@@ -1,9 +1,9 @@
 // Delta publish (per-shard dirty-row tracking + chunk-COW snapshots,
-// through OnlineActor::PublishShardedSnapshot): the delta_publish=false
-// A/B lever must be bit-identical to the delta path in snapshot contents
-// AND query results; clean chunks must actually be shared; versions stay
-// monotone, also under interleaved publishes from both trainers; and a
-// snapshot handle stays frozen while later deltas land.
+// through OnlineActor::PublishShardedSnapshot): every delta composite must
+// hold exactly what a full copy would, in snapshot contents AND query
+// results; clean chunks must actually be shared; versions stay monotone,
+// also under interleaved publishes from both trainers; and a snapshot
+// handle stays frozen while later deltas land.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "core/online_actor.h"
 #include "data/synthetic.h"
 #include "embedding/dirty_rows.h"
+#include "embedding/embedding_matrix.h"
 #include "eval/pipeline.h"
 #include "serve/chunked_matrix.h"
 #include "serve/model_snapshot.h"
@@ -79,56 +80,69 @@ bool SameNeighbors(const std::vector<Neighbor>& a,
   return true;
 }
 
-/// Two composites hold the same per-shard rows and catalogues.
-void ExpectSameComposite(const ShardedModelSnapshot& a,
-                         const ShardedModelSnapshot& b) {
-  ASSERT_EQ(a.num_shards(), b.num_shards());
-  for (int s = 0; s < a.num_shards(); ++s) {
-    const ModelSnapshot& sa = *a.shard(s);
-    const ModelSnapshot& sb = *b.shard(s);
-    EXPECT_TRUE(SameMatrix(sa.center(), sb.center())) << "shard " << s;
-    ASSERT_EQ(sa.num_units(), sb.num_units());
-    for (VertexId v = 0; v < sa.num_units(); ++v) {
-      EXPECT_EQ(sa.vertex_type(v), sb.vertex_type(v));
-      EXPECT_EQ(sa.vertex_name(v), sb.vertex_name(v));
+/// A just-published composite holds what a full copy of `model` would:
+/// every shard's rows equal the live shard matrix, and every unit resolves
+/// through the frozen map to the flat full-copy snapshot's name and row.
+void ExpectCompositeMatchesLive(const ShardedModelSnapshot& composite,
+                                const OnlineActor& model,
+                                const ModelSnapshot& flat) {
+  ASSERT_EQ(composite.num_shards(), model.num_shards());
+  for (int s = 0; s < composite.num_shards(); ++s) {
+    const ChunkedMatrix& published = composite.shard(s)->center();
+    const EmbeddingMatrix& live = model.center_shard(s);
+    ASSERT_EQ(published.rows(), live.rows()) << "shard " << s;
+    for (int32_t r = 0; r < live.rows(); ++r) {
+      ASSERT_EQ(std::memcmp(published.row(r), live.row(r),
+                            sizeof(float) *
+                                static_cast<std::size_t>(live.dim())),
+                0)
+          << "shard " << s << " row " << r;
     }
+  }
+  const ShardMapSnapshot& map = composite.map();
+  ASSERT_EQ(map.num_vertices(), flat.num_units());
+  for (VertexId v = 0; v < map.num_vertices(); ++v) {
+    const ModelSnapshot& shard =
+        *composite.shard(map.owner[static_cast<std::size_t>(v)]);
+    const VertexId local = map.local[static_cast<std::size_t>(v)];
+    EXPECT_EQ(shard.vertex_type(local), flat.vertex_type(v));
+    EXPECT_EQ(shard.vertex_name(local), flat.vertex_name(v));
+    ASSERT_EQ(std::memcmp(shard.center().row(local), flat.center().row(v),
+                          sizeof(float) *
+                              static_cast<std::size_t>(flat.dim())),
+              0)
+        << "vertex " << v;
   }
 }
 
-// --- The A/B lever: delta publishes are bit-identical to full copies -------
+// --- Delta publishes are bit-identical to full copies ----------------------
 
 TEST(DeltaPublishABTest, OnlineDeltaMatchesFullCopyBitIdentical) {
-  // Two actors, same seed, same stream (training is bit-deterministic);
-  // only the publish flavor differs. Every published composite must agree
-  // bit-for-bit: same version, same per-shard contents, same query
-  // results. This is what lets delta_publish default to true. Covered at
-  // the default single shard and at two shards.
+  // Every composite is checked right after its publish against the live
+  // shard matrices and against the flat PublishSnapshot() bridge, which is
+  // always a full copy: same version, same rows and catalogue, same query
+  // results. Covered at the default single shard and at two shards.
   const auto batches = MakeBatches(900, 4);
   const GeoPoint probe = batches[0].front().location;
   for (int shards : {1, 2}) {
     SCOPED_TRACE(shards);
-    OnlineActorOptions delta_opts = FastOnlineOptions();
-    delta_opts.num_shards = shards;
-    delta_opts.delta_publish = true;
-    OnlineActorOptions full_opts = delta_opts;
-    full_opts.delta_publish = false;
-    auto delta_model = OnlineActor::Create(delta_opts);
-    auto full_model = OnlineActor::Create(full_opts);
-    ASSERT_TRUE(delta_model.ok());
-    ASSERT_TRUE(full_model.ok());
+    OnlineActorOptions opts = FastOnlineOptions();
+    opts.num_shards = shards;
+    auto model = OnlineActor::Create(opts);
+    ASSERT_TRUE(model.ok());
 
     for (const auto& batch : batches) {
-      ASSERT_TRUE(delta_model->Ingest(batch).ok());
-      ASSERT_TRUE(full_model->Ingest(batch).ok());
-      auto ds = delta_model->PublishShardedSnapshot();
-      auto fs = full_model->PublishShardedSnapshot();
+      ASSERT_TRUE(model->Ingest(batch).ok());
+      auto ds = model->PublishShardedSnapshot();
+      auto flat = model->PublishSnapshot();
       ASSERT_NE(ds, nullptr);
-      ASSERT_NE(fs, nullptr);
-      EXPECT_EQ(ds->version(), fs->version());
-      EXPECT_EQ(ds->num_units(), fs->num_units());
-      ExpectSameComposite(*ds, *fs);
+      ASSERT_NE(flat, nullptr);
+      EXPECT_EQ(ds->version(), flat->version());
+      EXPECT_EQ(ds->num_units(), flat->num_units());
+      ExpectCompositeMatchesLive(*ds, *model, *flat);
 
-      ShardedQueryEngine dq(ds), fq(fs);
+      ShardedQueryEngine dq(ds);
+      QueryEngine fq(flat);
       auto dw = dq.QueryByLocation(probe, VertexType::kWord, 8);
       auto fw = fq.QueryByLocation(probe, VertexType::kWord, 8);
       ASSERT_TRUE(dw.ok());
@@ -322,7 +336,7 @@ TEST(DeltaPublishTest, InterleavedTrainerPublishesStayMonotonePerTrainer) {
   ASSERT_TRUE(online.ok());
 
   SnapshotStore store;
-  // Batch publish #1 (full: a fresh TrainActor model is fully dirty).
+  // Batch publish #1.
   auto batch_snap = PublishActorModel(*batch_model, prepared->graphs,
                                       prepared->hotspots, prepared->vocab);
   ASSERT_NE(batch_snap, nullptr);
@@ -340,30 +354,26 @@ TEST(DeltaPublishTest, InterleavedTrainerPublishesStayMonotonePerTrainer) {
     EXPECT_EQ(store.Acquire().get(), online_snap.get());
   }
 
-  // Batch publish #2, as a delta this time: nudge one center row, mark it
-  // dirty, republish against the first batch snapshot.
+  // Batch publish #2 after the model changed: nudge one center row and
+  // republish (a batch publish is always a full copy).
   const uint64_t batch_version = batch_snap->version();
-  batch_model->dirty.Clear();
   std::vector<float> nudged(static_cast<std::size_t>(actor_options.dim),
                             0.25f);
   batch_model->center.SetRow(0, nudged.data());
-  batch_model->dirty.Mark(0);
   batch_model->stats.edge_steps += 1;  // version bump source
-  auto batch_delta = PublishActorModel(*batch_model, prepared->graphs,
-                                       prepared->hotspots, prepared->vocab,
-                                       batch_snap.get());
-  ASSERT_NE(batch_delta, nullptr);
-  EXPECT_GT(batch_delta->version(), batch_version);
-  store.Publish(batch_delta);
-  EXPECT_EQ(store.Acquire().get(), batch_delta.get());
+  auto batch_republish = PublishActorModel(*batch_model, prepared->graphs,
+                                           prepared->hotspots, prepared->vocab);
+  ASSERT_NE(batch_republish, nullptr);
+  EXPECT_GT(batch_republish->version(), batch_version);
+  store.Publish(batch_republish);
+  EXPECT_EQ(store.Acquire().get(), batch_republish.get());
 
-  // The delta carries the nudge, shares every clean chunk, and the held
-  // first snapshot still serves the pre-nudge row.
-  EXPECT_EQ(batch_delta->center().row(0)[0], 0.25f);
+  // The republish carries the nudge, and the held first snapshot still
+  // serves the pre-nudge row.
+  EXPECT_EQ(batch_republish->center().row(0)[0], 0.25f);
   EXPECT_NE(batch_snap->center().row(0)[0], 0.25f);
-  EXPECT_GT(batch_delta->center().SharedChunksWith(batch_snap->center()), 0);
   for (int32_t r = 1; r < batch_snap->num_units(); ++r) {
-    ASSERT_EQ(std::memcmp(batch_delta->center().row(r),
+    ASSERT_EQ(std::memcmp(batch_republish->center().row(r),
                           batch_snap->center().row(r),
                           sizeof(float) * static_cast<std::size_t>(
                               batch_snap->dim())),

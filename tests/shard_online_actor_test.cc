@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "serve/query_engine.h"
 #include "shard/sharded_query_engine.h"
+#include "test_digest.h"
 #include "util/thread_pool.h"
 #include "util/vec_math.h"
 
@@ -58,19 +59,6 @@ void ExpectBitIdentical(const EmbeddingMatrix& a, const EmbeddingMatrix& b) {
   }
 }
 
-// FNV-1a over raw bytes: a compact, order-sensitive fingerprint of a
-// float matrix or a result list.
-struct Fnv1a {
-  uint64_t h = 1469598103934665603ull;
-  void Bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 struct PipelineDigest {
   uint64_t center = 0;
   uint64_t topk = 0;
@@ -88,11 +76,7 @@ PipelineDigest DigestDefaultPipeline() {
     EXPECT_TRUE(model->Ingest(batch).ok());
   }
   Fnv1a center;
-  const EmbeddingMatrix gathered = model->GatherCenter();
-  for (int32_t r = 0; r < gathered.rows(); ++r) {
-    center.Bytes(gathered.row(r),
-                 sizeof(float) * static_cast<std::size_t>(gathered.dim()));
-  }
+  center.Rows(model->GatherCenter());
   auto snapshot = model->PublishSnapshot();
   QueryEngine engine(snapshot);
   Fnv1a topk;
@@ -247,48 +231,40 @@ TEST(ShardOnlineActorTest, CrossShardEdgesResolveThroughRemoteTileCache) {
   }
 }
 
-// Per-shard delta publishes must produce exactly the state full publishes
-// do — the chunk-COW sharing is an optimization, never a semantic change
-// (the sharded analogue of serve_delta_publish_test).
+// Per-shard delta publishes must produce exactly the state a full copy
+// would — the chunk-COW sharing is an optimization, never a semantic
+// change (the sharded analogue of serve_delta_publish_test). Right after
+// each publish every shard's rows equal the live shard matrix.
 TEST(ShardOnlineActorTest, ShardedPublishDeltaMatchesFull) {
-  OnlineActorOptions delta_opts = FastOptions();
-  delta_opts.num_shards = 2;
-  delta_opts.delta_publish = true;
-  OnlineActorOptions full_opts = delta_opts;
-  full_opts.delta_publish = false;
-  auto delta_model = OnlineActor::Create(delta_opts);
-  auto full_model = OnlineActor::Create(full_opts);
-  ASSERT_TRUE(delta_model.ok());
-  ASSERT_TRUE(full_model.ok());
+  OnlineActorOptions opts = FastOptions();
+  opts.num_shards = 2;
+  auto model = OnlineActor::Create(opts);
+  ASSERT_TRUE(model.ok());
 
   const auto batches = MakeBatches(900, 3);
-  std::shared_ptr<const ShardedModelSnapshot> delta_snap, full_snap;
+  std::shared_ptr<const ShardedModelSnapshot> snap;
   for (const auto& batch : batches) {
-    ASSERT_TRUE(delta_model->Ingest(batch).ok());
-    ASSERT_TRUE(full_model->Ingest(batch).ok());
+    ASSERT_TRUE(model->Ingest(batch).ok());
     // Publishing every batch exercises the delta path against a fresh
     // previous snapshot (grown unit set and steady-state both covered).
-    delta_snap = delta_model->PublishShardedSnapshot();
-    full_snap = full_model->PublishShardedSnapshot();
-    ASSERT_NE(delta_snap, nullptr);
-    ASSERT_NE(full_snap, nullptr);
-    ASSERT_EQ(delta_snap->version(), full_snap->version());
-    ASSERT_EQ(delta_snap->num_units(), full_snap->num_units());
-    for (int s = 0; s < delta_snap->num_shards(); ++s) {
-      const auto& a = delta_snap->shard(s)->center();
-      const auto& b = full_snap->shard(s)->center();
-      ASSERT_EQ(a.rows(), b.rows());
-      for (int32_t r = 0; r < a.rows(); ++r) {
-        ASSERT_EQ(std::memcmp(a.row(r), b.row(r),
+    snap = model->PublishShardedSnapshot();
+    ASSERT_NE(snap, nullptr);
+    ASSERT_EQ(snap->num_units(), model->num_units());
+    for (int s = 0; s < snap->num_shards(); ++s) {
+      const auto& published = snap->shard(s)->center();
+      const EmbeddingMatrix& live = model->center_shard(s);
+      ASSERT_EQ(published.rows(), live.rows());
+      for (int32_t r = 0; r < published.rows(); ++r) {
+        ASSERT_EQ(std::memcmp(published.row(r), live.row(r),
                               sizeof(float) *
-                                  static_cast<std::size_t>(a.dim())),
+                                  static_cast<std::size_t>(live.dim())),
                   0)
             << "shard " << s << " row " << r << " differs";
       }
     }
   }
   // Unchanged model => publish is a no-op returning the same composite.
-  EXPECT_EQ(delta_model->PublishShardedSnapshot(), delta_snap);
+  EXPECT_EQ(model->PublishShardedSnapshot(), snap);
 }
 
 // The flat bridge is a full gather that touches no dirty set, so mixing it

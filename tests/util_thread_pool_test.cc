@@ -6,6 +6,8 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -37,37 +39,6 @@ TEST(ThreadPoolTest, ReportsThreadCount) {
   EXPECT_EQ(pool.num_threads(), 3u);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(0, 100, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.ParallelFor(5, 5, [&counter](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 0);
-}
-
-TEST(ThreadPoolTest, ParallelForSingleElement) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.ParallelFor(3, 4, [&counter](std::size_t i) {
-    counter.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, ParallelForMoreChunksThanThreads) {
-  ThreadPool pool(2);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(0, 1000,
-                   [&sum](std::size_t i) { sum.fetch_add(static_cast<int64_t>(i)); });
-  EXPECT_EQ(sum.load(), 999 * 1000 / 2);
-}
-
 TEST(ThreadPoolTest, SequentialWaves) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
@@ -78,13 +49,6 @@ TEST(ThreadPoolTest, SequentialWaves) {
     pool.Wait();
     EXPECT_EQ(counter.load(), (wave + 1) * 20);
   }
-}
-
-TEST(ThreadPoolTest, ParallelForRangeSmallerThanPool) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(0, 3, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ShardedRangeCoversAllIndicesOnce) {
@@ -176,6 +140,121 @@ TEST(ThreadPoolTest, DestructionWithPendingWorkCompletes) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+// --- ShardRunner -------------------------------------------------------------
+
+using ThreadId = decltype(std::this_thread::get_id());
+
+struct ShardCall {
+  ThreadId thread;
+  int shard;
+  std::size_t lo;
+  std::size_t hi;
+};
+
+/// Runs `runner.ShardedRange(n, ...)` and returns every call it made.
+std::vector<ShardCall> RecordCalls(ShardRunner& runner, std::size_t n) {
+  std::mutex mu;
+  std::vector<ShardCall> calls;
+  runner.ShardedRange(n, [&](int shard, std::size_t lo, std::size_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    calls.push_back({std::this_thread::get_id(), shard, lo, hi});
+  });
+  return calls;
+}
+
+/// (shard, lo, hi) triples in shard order.
+std::vector<std::tuple<int, std::size_t, std::size_t>> SortedSplit(
+    const std::vector<ShardCall>& calls) {
+  std::vector<std::tuple<int, std::size_t, std::size_t>> split;
+  for (const ShardCall& c : calls) split.emplace_back(c.shard, c.lo, c.hi);
+  std::sort(split.begin(), split.end());
+  return split;
+}
+
+TEST(ShardRunnerTest, SequentialCasesRunInlineAsOneShard) {
+  ThreadPool four(4);
+  ThreadPool one(1);
+  struct Case {
+    const char* name;
+    int num_threads;
+    ThreadPool* pool;
+    std::size_t n;
+  };
+  const Case cases[] = {
+      {"one thread, no pool", 1, nullptr, 10},
+      {"zero threads, pool ignored", 0, &four, 10},
+      {"one thread, pool ignored", 1, &four, 10},
+      {"borrowed 1-worker pool", 4, &one, 10},
+      {"single item", 4, &four, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ShardRunner runner(c.num_threads, c.pool);
+    const auto calls = RecordCalls(runner, c.n);
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(calls[0].thread, std::this_thread::get_id());
+    EXPECT_EQ(calls[0].shard, 0);
+    EXPECT_EQ(calls[0].lo, 0u);
+    EXPECT_EQ(calls[0].hi, c.n);
+  }
+  // num_threads <= 1 ignores the pool entirely.
+  EXPECT_EQ(ShardRunner(1, &four).pool(), nullptr);
+  EXPECT_EQ(ShardRunner(1, &four).max_shards(), 1u);
+  EXPECT_EQ(ShardRunner(4, &one).max_shards(), 1u);
+}
+
+TEST(ShardRunnerTest, ParallelSplitMatchesThreadPool) {
+  ThreadPool pool(3);
+  ShardRunner runner(3, &pool);
+  EXPECT_EQ(runner.max_shards(), 3u);
+  for (std::size_t n : {2u, 3u, 7u, 10u, 101u}) {
+    SCOPED_TRACE(n);
+    std::mutex mu;
+    std::vector<ShardCall> expected;
+    pool.ShardedRange(0, n, [&](int shard, std::size_t lo, std::size_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      expected.push_back({std::this_thread::get_id(), shard, lo, hi});
+    });
+    const auto calls = RecordCalls(runner, n);
+    EXPECT_EQ(SortedSplit(calls), SortedSplit(expected));
+    for (const ShardCall& c : calls) {
+      EXPECT_NE(c.thread, std::this_thread::get_id()) << "shard " << c.shard;
+    }
+  }
+}
+
+TEST(ShardRunnerTest, BorrowedPoolIsReusedAndOutlivesRunner) {
+  ThreadPool pool(2);
+  {
+    ShardRunner runner(4, &pool);  // the pool's worker count wins
+    EXPECT_EQ(runner.pool(), &pool);
+    EXPECT_EQ(runner.max_shards(), 2u);
+    EXPECT_EQ(RecordCalls(runner, 8).size(), 2u);
+  }
+  // The runner did not own the pool: it still runs work.
+  std::atomic<int> calls{0};
+  pool.ShardedRange(0, 4, [&calls](int, std::size_t, std::size_t) {
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 2);
+}
+
+TEST(ShardRunnerTest, OwnsAPoolWhenNoneIsBorrowed) {
+  ShardRunner runner(3, nullptr);
+  ASSERT_NE(runner.pool(), nullptr);
+  EXPECT_EQ(runner.pool()->num_threads(), 3u);
+  EXPECT_EQ(runner.max_shards(), 3u);
+  EXPECT_EQ(SortedSplit(RecordCalls(runner, 9)).size(), 3u);
+}
+
+TEST(ShardRunnerTest, EmptyRangeRunsNothing) {
+  ThreadPool pool(4);
+  ShardRunner inline_runner(1, nullptr);
+  ShardRunner pooled_runner(4, &pool);
+  EXPECT_TRUE(RecordCalls(inline_runner, 0).empty());
+  EXPECT_TRUE(RecordCalls(pooled_runner, 0).empty());
 }
 
 }  // namespace
