@@ -4,9 +4,9 @@
 // the streaming path's perf trajectory is tracked across PRs, alongside
 // BENCH_sgd.json for the batch trainer.
 //
-// "throughput" rows, all on one shard and one thread: full-rebuild mode
-// (the pre-port behavior, via incremental_sampler=false), the
-// incremental-sampler path, and the sparse-stream pure-decay column (empty
+// "throughput" rows, all on one shard and one thread: steady-state ingest
+// (the "incremental" row: samplers rebuilt in place only when a store's
+// distribution changed) and the sparse-stream pure-decay column (empty
 // Ingest() ticks, where the version-stamped sampler cache short-circuits
 // every rebuild). The "sharding" section carries the parallel column: the
 // same steady-state ingest at 1/2/4 shards, one worker per shard (its
@@ -53,7 +53,7 @@ struct Rate {
 
 /// Median of kRepeats runs plus the batches/s spread.
 struct OnlineRow {
-  std::string sampler;  // "full_rebuild", "incremental" or "pure_decay"
+  std::string sampler;  // "incremental" or "pure_decay"
   int shards = 1;
   double batches_per_sec = 0.0;
   double records_per_sec = 0.0;
@@ -61,12 +61,11 @@ struct OnlineRow {
   double batches_per_sec_max = 0.0;
 };
 
-OnlineActorOptions StreamOptions(int32_t dim, bool incremental, int shards) {
+OnlineActorOptions StreamOptions(int32_t dim, int shards) {
   OnlineActorOptions options;
   options.dim = dim;
   options.decay_per_batch = 0.7;
   options.samples_per_edge_per_batch = 3.0;
-  options.incremental_sampler = incremental;
   options.num_shards = shards;
   options.num_threads = shards;
   return options;
@@ -258,11 +257,8 @@ int Main(int argc, char** argv) {
         .push_back(corpus->record(i));
   }
 
-  const OnlineActorOptions full = StreamOptions(dim, false, 1);
-  const OnlineActorOptions incremental = StreamOptions(dim, true, 1);
+  const OnlineActorOptions incremental = StreamOptions(dim, 1);
   std::vector<Series> series;
-  series.push_back({"full_rebuild", 1,
-                    [&] { return MeasureIngest(work, full); }});
   series.push_back({"incremental", 1,
                     [&] { return MeasureIngest(work, incremental); }});
   if (decay_ticks > 0) {
@@ -274,7 +270,7 @@ int Main(int argc, char** argv) {
   const std::size_t num_throughput = series.size();
   for (int shards : {2, 4}) {
     series.push_back({"incremental", shards,
-                      [&work, options = StreamOptions(dim, true, shards)] {
+                      [&work, options = StreamOptions(dim, shards)] {
                         return MeasureIngest(work, options);
                       }});
   }
@@ -308,10 +304,8 @@ int Main(int argc, char** argv) {
     }
     return 0.0;
   };
-  const double full1 = find("full_rebuild");
   const double inc1 = find("incremental");
   const double decay1 = find("pure_decay");
-  const double incremental_speedup = full1 > 0.0 ? inc1 / full1 : 0.0;
   const double pure_decay_speedup = inc1 > 0.0 ? decay1 / inc1 : 0.0;
 
   std::ofstream out(out_path);
@@ -333,10 +327,6 @@ int Main(int argc, char** argv) {
   WriteRows(out, "sharding", shard_rows, /*with_sampler=*/false);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "  \"incremental_sampler_speedup_1t\": %.3f,\n",
-                incremental_speedup);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
                 "  \"pure_decay_speedup_vs_ingest_1t\": %.3f\n",
                 pure_decay_speedup);
   out << buf;
@@ -346,8 +336,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "write to %s failed\n", out_path.c_str());
     return 1;
   }
-  std::printf("wrote %s (incremental sampler x%.2f, pure decay x%.2f)\n",
-              out_path.c_str(), incremental_speedup, pure_decay_speedup);
+  std::printf("wrote %s (pure decay x%.2f)\n", out_path.c_str(),
+              pure_decay_speedup);
   return 0;
 }
 

@@ -213,8 +213,8 @@ ModelSnapshot::OnlineCatalog MakeCatalog(const OnlineActor& model) {
     catalog.types.push_back(model.unit_type(v));
     catalog.names.push_back(model.unit_name(v));
     if (model.unit_type(v) == VertexType::kWord) {
-      catalog.word_units.emplace(
-          static_cast<int32_t>(catalog.word_units.size()), v);
+      catalog.resolver.word_units.emplace(
+          static_cast<int32_t>(catalog.resolver.word_units.size()), v);
     }
   }
   return catalog;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "embedding/sgd.h"
 #include "util/string_util.h"
@@ -96,57 +95,41 @@ VertexId OnlineActor::AddUnit(VertexType type, std::string name) {
 }
 
 VertexId OnlineActor::ResolveSpatial(const GeoPoint& location) {
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < spatial_.size(); ++i) {
-    const double d = Distance(location, spatial_[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
+  const NearestHit hit = resolver_.NearestSpatial(location);
+  if (hit.index >= 0 && hit.distance <= options_.new_spatial_hotspot_km) {
+    return resolver_.spatial_units[hit.index];
   }
-  if (best >= 0 && best_dist <= options_.new_spatial_hotspot_km) {
-    return spatial_units_[best];
-  }
-  spatial_.push_back(location);
   const VertexId unit = AddUnit(
       VertexType::kLocation,
-      StrPrintf("L%zu(%.2f,%.2f)", spatial_.size() - 1, location.x,
-                location.y));
-  spatial_units_.push_back(unit);
+      StrPrintf("L%zu(%.2f,%.2f)", resolver_.spatial_centers.size(),
+                location.x, location.y));
+  resolver_.spatial_centers.push_back(location);
+  resolver_.spatial_units.push_back(unit);
   return unit;
 }
 
 VertexId OnlineActor::ResolveTemporal(double timestamp) {
   const double hour = HourOfDay(timestamp);
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < temporal_.size(); ++i) {
-    const double d = CircularHourDistance(hour, temporal_[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
+  const NearestHit hit = resolver_.NearestTemporal(hour);
+  if (hit.index >= 0 && hit.distance <= options_.new_temporal_hotspot_hours) {
+    return resolver_.temporal_units[hit.index];
   }
-  if (best >= 0 && best_dist <= options_.new_temporal_hotspot_hours) {
-    return temporal_units_[best];
-  }
-  temporal_.push_back(hour);
   const int hh = static_cast<int>(hour);
   const int mm = static_cast<int>((hour - hh) * 60.0);
-  const VertexId unit =
-      AddUnit(VertexType::kTime,
-              StrPrintf("T%zu(%02d:%02d)", temporal_.size() - 1, hh, mm));
-  temporal_units_.push_back(unit);
+  const VertexId unit = AddUnit(
+      VertexType::kTime, StrPrintf("T%zu(%02d:%02d)",
+                                   resolver_.temporal_hours.size(), hh, mm));
+  resolver_.temporal_hours.push_back(hour);
+  resolver_.temporal_units.push_back(unit);
   return unit;
 }
 
 VertexId OnlineActor::ResolveWord(int32_t word_id) {
-  auto it = word_units_.find(word_id);
-  if (it != word_units_.end()) return it->second;
+  const VertexId known = resolver_.WordVertex(word_id);
+  if (known != kInvalidVertex) return known;
   const VertexId unit =
       AddUnit(VertexType::kWord, StrPrintf("word%d", word_id));
-  word_units_.emplace(word_id, unit);
+  resolver_.word_units.emplace(word_id, unit);
   return unit;
 }
 
@@ -231,11 +214,6 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
 Status OnlineActor::RefreshSamplers(int e, int s) {
   OnlineEdgeStore& store = edges_[e].shard(s);
   SamplerCache& cache = samplers_[e][static_cast<std::size_t>(s)];
-  if (!options_.incremental_sampler) {
-    // A/B lever: reconstruct from scratch every batch, releasing storage,
-    // as the pre-port implementation did.
-    cache = SamplerCache();
-  }
   if (cache.built && cache.version == store.version()) {
     // Pure-decay batch for this type: uniform decay preserves the relative
     // distribution, so the cached tables are still exact.
@@ -431,47 +409,11 @@ void OnlineActor::RefreshRemoteTiles() {
   }
 }
 
-VertexId OnlineActor::SpatialUnit(const GeoPoint& location) const {
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < spatial_.size(); ++i) {
-    const double d = Distance(location, spatial_[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : spatial_units_[best];
-}
-
-VertexId OnlineActor::TemporalUnit(double timestamp) const {
-  const double hour = HourOfDay(timestamp);
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < temporal_.size(); ++i) {
-    const double d = CircularHourDistance(hour, temporal_[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : temporal_units_[best];
-}
-
-VertexId OnlineActor::WordUnit(int32_t word_id) const {
-  auto it = word_units_.find(word_id);
-  return it == word_units_.end() ? kInvalidVertex : it->second;
-}
-
 ModelSnapshot::OnlineCatalog OnlineActor::BuildCatalog() const {
   ModelSnapshot::OnlineCatalog catalog;
   catalog.types = types_;
   catalog.names = names_;
-  catalog.spatial_centers = spatial_;
-  catalog.spatial_units = spatial_units_;
-  catalog.temporal_hours = temporal_;
-  catalog.temporal_units = temporal_units_;
-  catalog.word_units = word_units_;
+  catalog.resolver = resolver_;
   return catalog;
 }
 
@@ -490,15 +432,11 @@ ModelSnapshot::OnlineCatalog OnlineActor::BuildShardCatalog(int s) const {
 std::shared_ptr<const ShardMapSnapshot> OnlineActor::BuildMapSnapshot()
     const {
   auto snap = std::make_shared<ShardMapSnapshot>();
+  static_cast<UnitResolver&>(*snap) = resolver_;
   snap->num_shards = shards_;
   snap->owner = map_.owners();
   snap->local = map_.locals();
   snap->globals = map_.all_globals();
-  snap->spatial_centers = spatial_;
-  snap->spatial_units = spatial_units_;
-  snap->temporal_hours = temporal_;
-  snap->temporal_units = temporal_units_;
-  snap->word_units = word_units_;
   return snap;
 }
 

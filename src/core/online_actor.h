@@ -73,13 +73,6 @@ struct OnlineActorOptions {
   /// the actor; num_threads <= 1 ignores the pool entirely.
   ThreadPool* pool = nullptr;
 
-  /// When true (default), per-edge-type samplers are cached across batches
-  /// and rebuilt in place only when the underlying decayed distribution
-  /// actually changed (OnlineEdgeStore::version()). When false, every
-  /// batch reconstructs all samplers from scratch — the pre-port behavior,
-  /// kept as an A/B lever for bench/online_throughput.
-  bool incremental_sampler = true;
-
   /// Ownership partitioning (docs/sharding.md): a VertexPartitioner
   /// assigns every unit to one of `num_shards` shards, each shard trains
   /// its own rows in an independent epoch (cross-shard context rows
@@ -132,8 +125,12 @@ class OnlineActor {
 
   int32_t num_units() const { return static_cast<int32_t>(types_.size()); }
   std::size_t num_live_edges() const;
-  std::size_t num_spatial_hotspots() const { return spatial_.size(); }
-  std::size_t num_temporal_hotspots() const { return temporal_.size(); }
+  std::size_t num_spatial_hotspots() const {
+    return resolver_.spatial_centers.size();
+  }
+  std::size_t num_temporal_hotspots() const {
+    return resolver_.temporal_hours.size();
+  }
 
   /// Shard count (options.num_shards).
   int num_shards() const { return shards_; }
@@ -161,10 +158,17 @@ class OnlineActor {
   VertexType unit_type(VertexId v) const { return types_[v]; }
   const std::string& unit_name(VertexId v) const { return names_[v]; }
 
-  /// Unit ids for modality values (kInvalidVertex when unseen).
-  VertexId SpatialUnit(const GeoPoint& location) const;
-  VertexId TemporalUnit(double timestamp) const;
-  VertexId WordUnit(int32_t word_id) const;
+  /// Unit ids for modality values (kInvalidVertex when unseen), through
+  /// the same UnitResolver every snapshot of this actor copies.
+  VertexId SpatialUnit(const GeoPoint& location) const {
+    return resolver_.SpatialVertex(location);
+  }
+  VertexId TemporalUnit(double timestamp) const {
+    return resolver_.TemporalVertexAt(timestamp);
+  }
+  VertexId WordUnit(int32_t word_id) const {
+    return resolver_.WordVertex(word_id);
+  }
 
   /// Cosine score of a record against the current space: mean of its
   /// resolvable unit vectors vs the candidate unit. Used by the
@@ -213,8 +217,9 @@ class OnlineActor {
 
  private:
   /// Cached per-edge-type samplers, stamped with the store version they
-  /// were built at. Rebuilt in place (allocation-free at steady state)
-  /// only when the store's relative distribution changed.
+  /// were built at. Rebuilt in place (allocation-free at steady state, and
+  /// drawing exactly what a fresh table would) only when the store's
+  /// relative distribution changed.
   struct NoiseTable {
     std::vector<VertexId> candidates;
     std::vector<double> weights;  // degree^(3/4) scratch for rebuilds
@@ -231,7 +236,8 @@ class OnlineActor {
   explicit OnlineActor(OnlineActorOptions options);
 
   VertexId AddUnit(VertexType type, std::string name);
-  /// Assign-or-spawn for the two hotspot families.
+  /// Assign-or-spawn for the two hotspot families: the resolver's nearest
+  /// hotspot when it lies within options_.new_*_hotspot_*, else a new one.
   VertexId ResolveSpatial(const GeoPoint& location);
   VertexId ResolveTemporal(double timestamp);
   VertexId ResolveWord(int32_t word_id);
@@ -266,7 +272,7 @@ class OnlineActor {
   /// The copied resolver state the flat PublishSnapshot() adopts.
   ModelSnapshot::OnlineCatalog BuildCatalog() const;
   /// Shard `s`'s local catalogue: types/names of its units in local-row
-  /// order. Resolver fields stay empty — global resolution lives in the
+  /// order. Its resolver stays empty — global resolution lives in the
   /// ShardMapSnapshot.
   ModelSnapshot::OnlineCatalog BuildShardCatalog(int s) const;
   /// The frozen ownership map + global resolvers for a composite publish.
@@ -294,12 +300,9 @@ class OnlineActor {
   ShardedEmbeddingMatrix center_;
   ShardedEmbeddingMatrix context_;
 
-  // Hotspot centers, index-aligned with their unit ids.
-  std::vector<GeoPoint> spatial_;
-  std::vector<VertexId> spatial_units_;
-  std::vector<double> temporal_;  // hours
-  std::vector<VertexId> temporal_units_;
-  std::unordered_map<int32_t, VertexId> word_units_;
+  // Hotspot centers/hours and word units, index-aligned with their unit
+  // ids; snapshots copy it as one value.
+  UnitResolver resolver_;
   std::unordered_map<int64_t, VertexId> user_units_;
 
   // Decaying undirected edge weights per edge type, in per-shard replica

@@ -22,4 +22,23 @@ double CircularHourDistance(double h1, double h2) {
   return d > 12.0 ? 24.0 - d : d;
 }
 
+NearestHit NearestPoint(const std::vector<GeoPoint>& points,
+                        const GeoPoint& query) {
+  NearestHit hit;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double d = Distance(query, points[i]);
+    if (d < hit.distance) hit = {static_cast<int32_t>(i), d};
+  }
+  return hit;
+}
+
+NearestHit NearestHour(const std::vector<double>& hours, double hour) {
+  NearestHit hit;
+  for (std::size_t i = 0; i < hours.size(); ++i) {
+    const double d = CircularHourDistance(hour, hours[i]);
+    if (d < hit.distance) hit = {static_cast<int32_t>(i), d};
+  }
+  return hit;
+}
+
 }  // namespace actor

@@ -2,6 +2,7 @@
 #define ACTOR_DATA_RECORD_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,24 @@ double HourOfDay(double timestamp);
 
 /// Shortest circular distance between two hours-of-day, in hours (<= 12).
 double CircularHourDistance(double h1, double h2);
+
+/// Outcome of a nearest-entry scan: the index of the nearest entry and its
+/// distance. index is -1 (distance +inf) when no entry lies at a finite
+/// distance — an empty set, or a NaN/infinite query.
+struct NearestHit {
+  int32_t index = -1;
+  double distance = std::numeric_limits<double>::infinity();
+};
+
+/// Linear scan for the point nearest to `query` (Euclidean, km) — the
+/// paper's rule for assigning a new point to a hotspot (§4.3). Ties break
+/// toward the smallest index.
+NearestHit NearestPoint(const std::vector<GeoPoint>& points,
+                        const GeoPoint& query);
+
+/// Linear scan for the hour circularly nearest to `hour` on the 24-hour
+/// clock. Ties break toward the smallest index.
+NearestHit NearestHour(const std::vector<double>& hours, double hour);
 
 }  // namespace actor
 

@@ -51,6 +51,9 @@ int Grid2dIndex::CellIndex(double v) const {
 
 int32_t Grid2dIndex::Nearest(const GeoPoint& query) const {
   if (points_.empty()) return -1;
+  // A NaN/infinite query has no grid cell and lies at no finite distance
+  // from any point, so nothing is nearest (as in the linear scan).
+  if (!std::isfinite(query.x) || !std::isfinite(query.y)) return -1;
   const int cx = CellIndex(query.x);
   const int cy = CellIndex(query.y);
   int32_t best = -1;
@@ -82,6 +85,13 @@ int32_t Grid2dIndex::Nearest(const GeoPoint& query) const {
   const int jump_x = std::max({0, min_ix_ - cx, cx - max_ix_});
   const int jump_y = std::max({0, min_iy_ - cy, cy - max_iy_});
   const int first_ring = std::max(jump_x, jump_y);
+  // Far outside the box even that first ring holds more cells than there
+  // are points (and the walk grows with the distance), so one linear scan
+  // is cheaper — same answer, same smallest-index tie-break.
+  if (8 * static_cast<int64_t>(first_ring) >
+      static_cast<int64_t>(points_.size())) {
+    return NearestPoint(points_, query).index;
+  }
   for (int r = first_ring; r <= max_ring; ++r) {
     if (best >= 0 &&
         static_cast<double>(r - 1) * cell_ > best_dist) {

@@ -14,14 +14,18 @@ namespace actor {
 /// can exist. The paper-scale datasets have ~10k spatial hotspots and
 /// ~10^6 assignment queries, where the brute-force scan in
 /// SpatialHotspots::Assign dominates preprocessing time; this index makes
-/// assignment ~O(1) for well-spread hotspots. Ties break toward the
-/// smallest point index (matching the brute-force scan).
+/// assignment ~O(1) for well-spread hotspots. A query so far outside the
+/// points' box that the first ring able to reach a point has more cells
+/// than there are points is answered by the linear NearestPoint scan
+/// instead, so the walk never grows with the query's distance. Ties break toward the smallest point index (matching the
+/// linear scan).
 class Grid2dIndex {
  public:
   /// `cell_size` <= 0 picks span / sqrt(n) automatically.
   explicit Grid2dIndex(std::vector<GeoPoint> points, double cell_size = 0.0);
 
-  /// Index of the nearest point, or -1 when the set is empty.
+  /// Index of the nearest point, or -1 when the set is empty or the query
+  /// is not finite.
   int32_t Nearest(const GeoPoint& query) const;
 
   std::size_t size() const { return points_.size(); }

@@ -1,21 +1,11 @@
 #include "hotspot/hotspot_detector.h"
 
 #include <cmath>
-#include <limits>
 
 namespace actor {
 
 int32_t TemporalHotspots::AssignHour(double hour) const {
-  int32_t best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < hours_.size(); ++i) {
-    const double d = CircularHourDistance(hour, hours_[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int32_t>(i);
-    }
-  }
-  return best;
+  return NearestHour(hours_, hour).index;
 }
 
 int32_t TemporalHotspots::Assign(double timestamp) const {

@@ -24,7 +24,8 @@ class SpatialHotspots {
   const GeoPoint& center(int32_t id) const { return centers_[id]; }
   const std::vector<GeoPoint>& centers() const { return centers_; }
 
-  /// Id of the nearest hotspot (grid-indexed); -1 if no hotspots exist.
+  /// Id of the nearest hotspot (grid-indexed); -1 if no hotspots exist or
+  /// `p` is not finite.
   int32_t Assign(const GeoPoint& p) const { return index_.Nearest(p); }
 
  private:
@@ -47,7 +48,8 @@ class TemporalHotspots {
   /// -1 if no hotspots exist.
   int32_t Assign(double timestamp) const;
 
-  /// Id of the circularly-nearest hotspot for an hour-of-day value.
+  /// Id of the circularly-nearest hotspot for an hour-of-day value (the
+  /// NearestHour scan); -1 if no hotspots exist or `hour` is not finite.
   int32_t AssignHour(double hour) const;
 
  private:

@@ -1,9 +1,27 @@
 #include "serve/model_snapshot.h"
 
-#include <limits>
 #include <utility>
 
 namespace actor {
+
+VertexId UnitResolver::SpatialVertex(const GeoPoint& location) const {
+  const NearestHit hit = NearestSpatial(location);
+  return hit.index < 0 ? kInvalidVertex : spatial_units[hit.index];
+}
+
+VertexId UnitResolver::TemporalVertexAt(double timestamp) const {
+  return TemporalVertexAtHour(HourOfDay(timestamp));
+}
+
+VertexId UnitResolver::TemporalVertexAtHour(double hour) const {
+  const NearestHit hit = NearestTemporal(hour);
+  return hit.index < 0 ? kInvalidVertex : temporal_units[hit.index];
+}
+
+VertexId UnitResolver::WordVertex(int32_t word_id) const {
+  const auto it = word_units.find(word_id);
+  return it == word_units.end() ? kInvalidVertex : it->second;
+}
 
 std::shared_ptr<const ModelSnapshot::CatalogState>
 ModelSnapshot::MakeCatalogState(OnlineCatalog catalog) {
@@ -93,26 +111,10 @@ VertexId ModelSnapshot::SpatialVertex(const GeoPoint& location) const {
     const int32_t h = hotspots_->spatial.Assign(location);
     return h < 0 ? kInvalidVertex : graphs_->spatial_vertices[h];
   }
-  // Same nearest-center scan as OnlineActor::SpatialUnit, so a snapshot
-  // resolves exactly like the live actor it was published from.
-  const OnlineCatalog& catalog = online_->catalog;
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < catalog.spatial_centers.size(); ++i) {
-    const double d = Distance(location, catalog.spatial_centers[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : catalog.spatial_units[best];
+  return online_->catalog.resolver.SpatialVertex(location);
 }
 
 VertexId ModelSnapshot::TemporalVertexAt(double timestamp) const {
-  if (graphs_ != nullptr) {
-    const int32_t h = hotspots_->temporal.Assign(timestamp);
-    return h < 0 ? kInvalidVertex : graphs_->temporal_vertices[h];
-  }
   return TemporalVertexAtHour(HourOfDay(timestamp));
 }
 
@@ -121,17 +123,7 @@ VertexId ModelSnapshot::TemporalVertexAtHour(double hour) const {
     const int32_t h = hotspots_->temporal.AssignHour(hour);
     return h < 0 ? kInvalidVertex : graphs_->temporal_vertices[h];
   }
-  const OnlineCatalog& catalog = online_->catalog;
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < catalog.temporal_hours.size(); ++i) {
-    const double d = CircularHourDistance(hour, catalog.temporal_hours[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : catalog.temporal_units[best];
+  return online_->catalog.resolver.TemporalVertexAtHour(hour);
 }
 
 VertexId ModelSnapshot::WordVertex(int32_t word_id) const {
@@ -142,9 +134,7 @@ VertexId ModelSnapshot::WordVertex(int32_t word_id) const {
     }
     return graphs_->word_vertices[static_cast<std::size_t>(word_id)];
   }
-  const auto& word_units = online_->catalog.word_units;
-  const auto it = word_units.find(word_id);
-  return it == word_units.end() ? kInvalidVertex : it->second;
+  return online_->catalog.resolver.WordVertex(word_id);
 }
 
 int32_t ModelSnapshot::LookupWord(const std::string& keyword) const {

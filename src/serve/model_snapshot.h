@@ -19,6 +19,40 @@
 
 namespace actor {
 
+/// The streaming model's modality resolvers — a new point goes to its
+/// nearest hotspot (paper §4.3): spatial hotspot centers and temporal
+/// hotspot hours, each index-aligned with its unit id, plus the word ->
+/// unit map. One value type is the resolver state of the live OnlineActor
+/// (which appends to it as units spawn), of a flat online ModelSnapshot and
+/// of a composite's ShardMapSnapshot, so all three resolve a modality value
+/// to the same unit by construction.
+struct UnitResolver {
+  std::vector<GeoPoint> spatial_centers;
+  std::vector<VertexId> spatial_units;
+  std::vector<double> temporal_hours;
+  std::vector<VertexId> temporal_units;
+  std::unordered_map<int32_t, VertexId> word_units;
+
+  /// Nearest spatial hotspot: index into spatial_centers and distance (km).
+  NearestHit NearestSpatial(const GeoPoint& location) const {
+    return NearestPoint(spatial_centers, location);
+  }
+  /// Circularly nearest temporal hotspot: index into temporal_hours and
+  /// distance (hours).
+  NearestHit NearestTemporal(double hour) const {
+    return NearestHour(temporal_hours, hour);
+  }
+
+  // Unit ids; kInvalidVertex when unresolvable (no hotspot yet, a
+  // non-finite value, an unseen word).
+  VertexId SpatialVertex(const GeoPoint& location) const;
+  VertexId TemporalVertexAt(double timestamp) const;
+  VertexId TemporalVertexAtHour(double hour) const;
+  VertexId WordVertex(int32_t word_id) const;
+  /// Always -1: streaming models resolve vocabulary ids, not strings.
+  int32_t LookupWord(const std::string& /*keyword*/) const { return -1; }
+};
+
 /// An immutable, versioned bundle of everything the read path needs to
 /// answer cross-modal queries: center (and optionally context) embeddings
 /// plus the unit catalogue that maps modality values (locations, times,
@@ -51,20 +85,16 @@ namespace actor {
 ///
 /// All resolution methods are const, thread-safe, and bit-identical to the
 /// pre-snapshot code paths they replaced (the batch path delegates to the
-/// same Hotspots::Assign / lookup tables; the online path mirrors
-/// OnlineActor::SpatialUnit/TemporalUnit/WordUnit).
+/// same Hotspots::Assign / lookup tables; the online path runs a copy of
+/// the live OnlineActor's UnitResolver).
 class ModelSnapshot {
  public:
-  /// Copied unit catalogue of a streaming model (OnlineActor's resolver
-  /// state at publish time).
+  /// Copied unit catalogue of a streaming model (OnlineActor's unit types,
+  /// names and resolver at publish time).
   struct OnlineCatalog {
     std::vector<VertexType> types;
     std::vector<std::string> names;
-    std::vector<GeoPoint> spatial_centers;
-    std::vector<VertexId> spatial_units;
-    std::vector<double> temporal_hours;
-    std::vector<VertexId> temporal_units;
-    std::unordered_map<int32_t, VertexId> word_units;
+    UnitResolver resolver;
   };
 
   /// Publishes a batch-trained model. `center` is copied into chunked
@@ -170,11 +200,12 @@ class ModelSnapshot {
 };
 
 /// The one mutable cell of the serving layer: an atomically swappable slot
-/// holding the latest published snapshot. Publish() installs a new version
-/// (writer side, typically the ingest thread); Acquire() grabs a reference
-/// to whatever is current (any thread, lock-free on libstdc++'s atomic
-/// shared_ptr). Readers keep their snapshot alive through the shared_ptr
-/// refcount, so a publish never invalidates an in-flight query.
+/// holding the latest published snapshot of type T (a flat ModelSnapshot,
+/// or a sharded composite). Publish() installs a new version (writer side,
+/// typically the ingest thread); Acquire() grabs a reference to whatever
+/// is current (any thread, lock-free on libstdc++'s atomic shared_ptr).
+/// Readers keep their snapshot alive through the shared_ptr refcount, so a
+/// publish never invalidates an in-flight query.
 ///
 /// TSan builds swap in the free-function atomic shared_ptr overloads:
 /// libstdc++'s std::atomic<shared_ptr> guards its raw pointer with a
@@ -186,13 +217,14 @@ class ModelSnapshot {
 #define ACTOR_SERVE_ATOMIC_SHARED_PTR 1
 #endif
 
-class SnapshotStore {
+template <typename T>
+class SnapshotSlot {
  public:
-  SnapshotStore() = default;
-  SnapshotStore(const SnapshotStore&) = delete;
-  SnapshotStore& operator=(const SnapshotStore&) = delete;
+  SnapshotSlot() = default;
+  SnapshotSlot(const SnapshotSlot&) = delete;
+  SnapshotSlot& operator=(const SnapshotSlot&) = delete;
 
-  void Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
+  void Publish(std::shared_ptr<const T> snapshot) {
 #if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
     slot_.store(std::move(snapshot), std::memory_order_release);
 #else
@@ -202,7 +234,7 @@ class SnapshotStore {
   }
 
   /// Latest published snapshot; null before the first Publish().
-  std::shared_ptr<const ModelSnapshot> Acquire() const {
+  std::shared_ptr<const T> Acquire() const {
 #if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
     return slot_.load(std::memory_order_acquire);
 #else
@@ -212,12 +244,15 @@ class SnapshotStore {
 
  private:
 #if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
-  std::atomic<std::shared_ptr<const ModelSnapshot>> slot_;
+  std::atomic<std::shared_ptr<const T>> slot_;
 #else
   // TSan / pre-C++20 path: the free-function atomic shared_ptr overloads.
-  std::shared_ptr<const ModelSnapshot> slot_;
+  std::shared_ptr<const T> slot_;
 #endif
 };
+
+/// The flat snapshot's slot.
+using SnapshotStore = SnapshotSlot<ModelSnapshot>;
 
 }  // namespace actor
 

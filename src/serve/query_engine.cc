@@ -52,23 +52,28 @@ BatchQuery BatchQuery::Vector(const float* query, VertexType result_type,
 QueryEngine::QueryEngine(std::shared_ptr<const ModelSnapshot> snapshot)
     : snapshot_(std::move(snapshot)) {}
 
-Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
-    const float* query, VertexType result_type, int k,
-    VertexId exclude) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
+Result<BatchQuery> QueryEngine::QueryResolve(const BatchQuery& q) const {
+  ACTOR_ASSIGN_OR_RETURN(const VertexId seed,
+                         ResolveQuerySeed(*snapshot_, q));
+  if (seed == kInvalidVertex) return q;
+  return BatchQuery::Vector(snapshot_->center().row(seed), q.result_type,
+                            q.k, seed);
+}
+
+std::vector<Neighbor> QueryEngine::QueryScan(const BatchQuery& q) const {
   const ModelSnapshot& snap = *snapshot_;
   const ChunkedMatrix& center = snap.center();
   const std::size_t dim = static_cast<std::size_t>(center.dim());
   // One query against the whole type block: the query norm is fixed, so it
   // is computed once here instead of once per row inside Cosine(). The
   // per-row work is a single fused pass (dot + candidate norm).
-  const float query_norm = Norm2(query, dim);
+  const float query_norm = Norm2(q.vector, dim);
   std::vector<Neighbor> results;
-  for (VertexId v : snap.VerticesOfType(result_type)) {
-    if (v == exclude) continue;
+  for (VertexId v : snap.VerticesOfType(q.result_type)) {
+    if (v == q.exclude) continue;
     float dot = 0.0f;
     float norm2 = 0.0f;
-    DotAndNorm2(query, center.row(v), dim, &dot, &norm2);
+    DotAndNorm2(q.vector, center.row(v), dim, &dot, &norm2);
     const float row_norm = std::sqrt(norm2);
     Neighbor n;
     n.vertex = v;
@@ -77,23 +82,25 @@ Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
                        : dot / (query_norm * row_norm);
     results.push_back(std::move(n));
   }
-  const std::size_t keep = std::min<std::size_t>(k, results.size());
+  return QueryTopK(std::move(results), q.k);
+}
+
+std::vector<Neighbor> QueryEngine::QueryTopK(std::vector<Neighbor> candidates,
+                                             int k) const {
+  const ModelSnapshot& snap = *snapshot_;
+  const std::size_t keep = std::min<std::size_t>(k, candidates.size());
   // Ties break toward the lower unit id, making the top-k *set* a pure
   // function of (snapshot, query, k) rather than of candidate scan order —
   // the property the sharded scatter-gather merge needs to reproduce this
   // result exactly from per-shard heads (docs/sharding.md).
-  std::partial_sort(results.begin(), results.begin() + keep, results.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.similarity > b.similarity ||
-                             (a.similarity == b.similarity &&
-                              a.vertex < b.vertex);
-                    });
-  results.resize(keep);
-  for (auto& n : results) {
+  std::partial_sort(candidates.begin(), candidates.begin() + keep,
+                    candidates.end(), RanksBefore);
+  candidates.resize(keep);
+  for (auto& n : candidates) {
     n.name = snap.vertex_name(n.vertex);
     n.type = snap.vertex_type(n.vertex);
   }
-  return results;
+  return candidates;
 }
 
 std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
@@ -103,9 +110,8 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
   const std::size_t dim = static_cast<std::size_t>(center.dim());
   const std::size_t b = queries.size();
 
-  // Per-request resolution, running each sequential entry point's checks in
-  // the same order so error statuses (and their precedence over the k
-  // check) match QueryBy*() exactly.
+  // Per-request resolution through the same step as the sequential entry
+  // points, so error statuses match QueryBy*() exactly.
   struct Resolved {
     const float* query = nullptr;
     float query_norm = 0.0f;
@@ -116,50 +122,16 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
   std::vector<std::vector<Neighbor>> candidates(b);
   std::array<std::vector<std::size_t>, kNumVertexTypes> groups;
   for (std::size_t i = 0; i < b; ++i) {
-    const BatchQuery& q = queries[i];
-    VertexId v = kInvalidVertex;
-    switch (q.kind) {
-      case BatchQuery::Kind::kLocation:
-        v = snap.SpatialVertex(q.location);
-        if (v == kInvalidVertex) {
-          errors[i] = Status::NotFound("no spatial hotspots available");
-          continue;
-        }
-        break;
-      case BatchQuery::Kind::kHour:
-        v = snap.TemporalVertexAtHour(q.hour);
-        if (v == kInvalidVertex) {
-          errors[i] = Status::NotFound("no temporal hotspots available");
-          continue;
-        }
-        break;
-      case BatchQuery::Kind::kKeyword: {
-        const int32_t w = snap.LookupWord(q.keyword);
-        if (w < 0) {
-          errors[i] =
-              Status::NotFound("keyword not in vocabulary: " + q.keyword);
-          continue;
-        }
-        v = snap.WordVertex(w);
-        if (v == kInvalidVertex) {
-          errors[i] = Status::NotFound(
-              "keyword not present in the activity graph: " + q.keyword);
-          continue;
-        }
-        break;
-      }
-      case BatchQuery::Kind::kVector:
-        break;
-    }
-    if (q.k <= 0) {
-      errors[i] = Status::InvalidArgument("k must be positive");
+    const Result<BatchQuery> q = QueryResolve(queries[i]);
+    if (!q.ok()) {
+      errors[i] = q.status();
       continue;
     }
     Resolved& r = resolved[i];
-    r.query = v == kInvalidVertex ? q.vector : center.row(v);
-    r.exclude = v == kInvalidVertex ? q.exclude : v;
+    r.query = q->vector;
+    r.exclude = q->exclude;
     r.query_norm = Norm2(r.query, dim);
-    groups[static_cast<std::size_t>(q.result_type)].push_back(i);
+    groups[static_cast<std::size_t>(q->result_type)].push_back(i);
   }
 
   // One sweep per populated type block: each candidate row streams through
@@ -197,7 +169,7 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
   }
 
   // Per-request top-k selection, identical to the sequential tail: same
-  // candidate order in, same comparator, same truncation.
+  // candidate order in, same selection.
   std::vector<Result<std::vector<Neighbor>>> out;
   out.reserve(b);
   for (std::size_t i = 0; i < b; ++i) {
@@ -205,58 +177,41 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
       out.push_back(errors[i]);
       continue;
     }
-    std::vector<Neighbor>& results = candidates[i];
-    const std::size_t keep =
-        std::min<std::size_t>(queries[i].k, results.size());
-    std::partial_sort(results.begin(), results.begin() + keep, results.end(),
-                      [](const Neighbor& a, const Neighbor& c) {
-                        return a.similarity > c.similarity ||
-                               (a.similarity == c.similarity &&
-                                a.vertex < c.vertex);
-                      });
-    results.resize(keep);
-    for (auto& n : results) {
-      n.name = snap.vertex_name(n.vertex);
-      n.type = snap.vertex_type(n.vertex);
-    }
-    out.push_back(std::move(results));
+    out.push_back(QueryTopK(std::move(candidates[i]), queries[i].k));
   }
   return out;
 }
 
-Result<std::vector<Neighbor>> QueryEngine::QueryByVertex(
-    VertexId v, VertexType result_type, int k) const {
-  return QueryByVector(snapshot_->center().row(v), result_type, k, v);
+Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
+    const float* query, VertexType result_type, int k,
+    VertexId exclude) const {
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Vector(query, result_type, k, exclude)));
+  return QueryScan(q);
 }
 
 Result<std::vector<Neighbor>> QueryEngine::QueryByLocation(
     const GeoPoint& location, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->SpatialVertex(location);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no spatial hotspots available");
-  }
-  return QueryByVertex(v, result_type, k);
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Location(location, result_type, k)));
+  return QueryScan(q);
 }
 
 Result<std::vector<Neighbor>> QueryEngine::QueryByHour(
     double hour, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->TemporalVertexAtHour(hour);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no temporal hotspots available");
-  }
-  return QueryByVertex(v, result_type, k);
+  ACTOR_ASSIGN_OR_RETURN(const BatchQuery q,
+                         QueryResolve(BatchQuery::Hour(hour, result_type, k)));
+  return QueryScan(q);
 }
 
 Result<std::vector<Neighbor>> QueryEngine::QueryByKeyword(
     const std::string& keyword, VertexType result_type, int k) const {
-  const int32_t w = snapshot_->LookupWord(keyword);
-  if (w < 0) return Status::NotFound("keyword not in vocabulary: " + keyword);
-  const VertexId v = snapshot_->WordVertex(w);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("keyword not present in the activity graph: " +
-                            keyword);
-  }
-  return QueryByVertex(v, result_type, k);
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Keyword(keyword, result_type, k)));
+  return QueryScan(q);
 }
 
 }  // namespace actor

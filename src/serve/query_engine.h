@@ -1,6 +1,7 @@
 #ifndef ACTOR_SERVE_QUERY_ENGINE_H_
 #define ACTOR_SERVE_QUERY_ENGINE_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,13 @@ struct Neighbor {
   VertexType type = VertexType::kWord;
   double similarity = 0.0;
 };
+
+/// The top-k order of every engine: similarity descending, ties broken by
+/// ascending unit id.
+inline bool RanksBefore(const Neighbor& a, const Neighbor& b) {
+  return a.similarity > b.similarity ||
+         (a.similarity == b.similarity && a.vertex < b.vertex);
+}
 
 /// One request in a QueryEngine::QueryBatch() call: a tagged mirror of the
 /// four sequential entry points. Only the fields of the active `kind` are
@@ -51,6 +59,57 @@ struct BatchQuery {
   VertexId exclude = kInvalidVertex;  // kVector only
 };
 
+/// The one query-resolve step of both engines, on the sequential and the
+/// batched path alike: turns a request into its seed unit — the unit whose
+/// row is the query vector, and which is excluded from the results — or
+/// into the request's error. A kVector request brings its own row, so its
+/// seed is kInvalidVertex. Checks run in one fixed order, which every path
+/// therefore reports identically: a NaN/infinite location or hour
+/// (InvalidArgument), an unresolvable modality value (NotFound), then
+/// k <= 0 (InvalidArgument). `Resolver` is a ModelSnapshot or a
+/// UnitResolver (a composite's ShardMapSnapshot).
+template <typename Resolver>
+Result<VertexId> ResolveQuerySeed(const Resolver& resolver,
+                                  const BatchQuery& q) {
+  VertexId seed = kInvalidVertex;
+  switch (q.kind) {
+    case BatchQuery::Kind::kLocation:
+      if (!std::isfinite(q.location.x) || !std::isfinite(q.location.y)) {
+        return Status::InvalidArgument("query location must be finite");
+      }
+      seed = resolver.SpatialVertex(q.location);
+      if (seed == kInvalidVertex) {
+        return Status::NotFound("no spatial hotspots available");
+      }
+      break;
+    case BatchQuery::Kind::kHour:
+      if (!std::isfinite(q.hour)) {
+        return Status::InvalidArgument("query hour must be finite");
+      }
+      seed = resolver.TemporalVertexAtHour(q.hour);
+      if (seed == kInvalidVertex) {
+        return Status::NotFound("no temporal hotspots available");
+      }
+      break;
+    case BatchQuery::Kind::kKeyword: {
+      const int32_t w = resolver.LookupWord(q.keyword);
+      if (w < 0) {
+        return Status::NotFound("keyword not in vocabulary: " + q.keyword);
+      }
+      seed = resolver.WordVertex(w);
+      if (seed == kInvalidVertex) {
+        return Status::NotFound(
+            "keyword not present in the activity graph: " + q.keyword);
+      }
+      break;
+    }
+    case BatchQuery::Kind::kVector:
+      break;
+  }
+  if (q.k <= 0) return Status::InvalidArgument("k must be positive");
+  return seed;
+}
+
 /// Cross-modal top-k search over one immutable ModelSnapshot. Backs the
 /// spatial / temporal / textual queries of Figs. 9-11 for both batch and
 /// streaming models.
@@ -71,13 +130,14 @@ class QueryEngine {
   const ModelSnapshot& snapshot() const { return *snapshot_; }
 
   /// Top-k units of `result_type` nearest to a geographic point (the point
-  /// is first snapped to its spatial hotspot, Fig. 9).
+  /// is first snapped to its spatial hotspot, Fig. 9). InvalidArgument for
+  /// a NaN/infinite point.
   Result<std::vector<Neighbor>> QueryByLocation(const GeoPoint& location,
                                                 VertexType result_type,
                                                 int k) const;
 
   /// Top-k units nearest to an hour-of-day (snapped to its temporal
-  /// hotspot, Fig. 10).
+  /// hotspot, Fig. 10). InvalidArgument for a NaN/infinite hour.
   Result<std::vector<Neighbor>> QueryByHour(double hour,
                                             VertexType result_type,
                                             int k) const;
@@ -107,9 +167,20 @@ class QueryEngine {
       const std::vector<BatchQuery>& queries) const;
 
  private:
-  Result<std::vector<Neighbor>> QueryByVertex(VertexId v,
-                                              VertexType result_type,
-                                              int k) const;
+  /// A request in its scorable form: ResolveQuerySeed's seed row and
+  /// exclude id filled in as a kVector request (kVector requests pass
+  /// through), or the request's error.
+  Result<BatchQuery> QueryResolve(const BatchQuery& q) const;
+
+  /// The sequential reference scoring loop (serve_query_batch_test holds
+  /// QueryBatch's blocked kernel to it) plus top-k selection, for a
+  /// resolved vector request.
+  std::vector<Neighbor> QueryScan(const BatchQuery& q) const;
+
+  /// Top-k selection shared by both paths: RanksBefore order, truncation
+  /// to k, then unit names and types filled in.
+  std::vector<Neighbor> QueryTopK(std::vector<Neighbor> candidates,
+                                  int k) const;
 
   std::shared_ptr<const ModelSnapshot> snapshot_;
 };

@@ -40,68 +40,69 @@ std::vector<Neighbor> ShardedQueryEngine::QueryMergeHeads(
   // The same explicit total order the flat engine sorts by; per-shard local
   // order agrees with global order (ShardMap's order-preserving local ids),
   // so the merged head of S per-shard top-k lists IS the global top-k.
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity && a.vertex < b.vertex);
-            });
+  std::sort(merged.begin(), merged.end(), RanksBefore);
   if (merged.size() > static_cast<std::size_t>(k)) merged.resize(k);
   return merged;
 }
 
 std::vector<Neighbor> ShardedQueryEngine::QueryScatter(
-    const float* query, VertexType result_type, int k,
-    VertexId exclude) const {
+    const BatchQuery& q) const {
   const ShardMapSnapshot& map = snapshot_->map();
   std::vector<std::vector<Neighbor>> heads(
       static_cast<std::size_t>(snapshot_->num_shards()));
   for (int s = 0; s < snapshot_->num_shards(); ++s) {
     VertexId local_exclude = kInvalidVertex;
-    if (exclude != kInvalidVertex &&
-        map.owner[static_cast<std::size_t>(exclude)] == s) {
-      local_exclude = map.local[static_cast<std::size_t>(exclude)];
+    if (q.exclude != kInvalidVertex &&
+        map.owner[static_cast<std::size_t>(q.exclude)] == s) {
+      local_exclude = map.local[static_cast<std::size_t>(q.exclude)];
     }
-    // k > 0 was checked by the caller, so the per-shard query cannot fail
-    // (debug-asserted inside MoveValueUnchecked).
+    // The request was resolved (k > 0) by the caller, so the per-shard
+    // query cannot fail (debug-asserted inside MoveValueUnchecked).
     auto head = engines_[static_cast<std::size_t>(s)].QueryByVector(
-        query, result_type, k, local_exclude);
+        q.vector, q.result_type, q.k, local_exclude);
     heads[static_cast<std::size_t>(s)] = head.MoveValueUnchecked();
   }
-  return QueryMergeHeads(std::move(heads), k);
+  return QueryMergeHeads(std::move(heads), q.k);
+}
+
+Result<BatchQuery> ShardedQueryEngine::QueryResolve(
+    const BatchQuery& q) const {
+  ACTOR_ASSIGN_OR_RETURN(const VertexId seed,
+                         ResolveQuerySeed(snapshot_->map(), q));
+  if (seed == kInvalidVertex) return q;
+  return BatchQuery::Vector(CenterRow(seed), q.result_type, q.k, seed);
 }
 
 Result<std::vector<Neighbor>> ShardedQueryEngine::QueryByVector(
     const float* query, VertexType result_type, int k,
     VertexId exclude) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  return QueryScatter(query, result_type, k, exclude);
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Vector(query, result_type, k, exclude)));
+  return QueryScatter(q);
 }
 
 Result<std::vector<Neighbor>> ShardedQueryEngine::QueryByLocation(
     const GeoPoint& location, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->map().SpatialVertex(location);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no spatial hotspots available");
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  return QueryScatter(CenterRow(v), result_type, k, v);
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Location(location, result_type, k)));
+  return QueryScatter(q);
 }
 
 Result<std::vector<Neighbor>> ShardedQueryEngine::QueryByHour(
     double hour, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->map().TemporalVertexAtHour(hour);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no temporal hotspots available");
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  return QueryScatter(CenterRow(v), result_type, k, v);
+  ACTOR_ASSIGN_OR_RETURN(const BatchQuery q,
+                         QueryResolve(BatchQuery::Hour(hour, result_type, k)));
+  return QueryScatter(q);
 }
 
 Result<std::vector<Neighbor>> ShardedQueryEngine::QueryByKeyword(
     const std::string& keyword, VertexType result_type, int k) const {
-  // Streaming snapshots carry no vocabulary (the flat online path's
-  // LookupWord always reports unknown); mirror its error exactly.
-  return Status::NotFound("keyword not in vocabulary: " + keyword);
+  ACTOR_ASSIGN_OR_RETURN(
+      const BatchQuery q,
+      QueryResolve(BatchQuery::Keyword(keyword, result_type, k)));
+  return QueryScatter(q);
 }
 
 std::vector<Result<std::vector<Neighbor>>> ShardedQueryEngine::QueryBatch(
@@ -110,46 +111,17 @@ std::vector<Result<std::vector<Neighbor>>> ShardedQueryEngine::QueryBatch(
   const std::size_t b = queries.size();
   const int num_shards = snapshot_->num_shards();
 
-  // Per-request resolution against the global resolvers, running the same
-  // checks in the same order as the flat engine's QueryBatch so error
-  // statuses (and their precedence over the k check) match exactly.
+  // Per-request resolution through the same step as the sequential entry
+  // points (and the flat engine), so error statuses match exactly.
   std::vector<Status> errors(b);       // OK marks the request scorable
-  std::vector<std::size_t> scorable;   // request index per scatter slot
   std::vector<BatchQuery> scatter;     // global-exclude vector queries
   for (std::size_t i = 0; i < b; ++i) {
-    const BatchQuery& q = queries[i];
-    VertexId v = kInvalidVertex;
-    switch (q.kind) {
-      case BatchQuery::Kind::kLocation:
-        v = map.SpatialVertex(q.location);
-        if (v == kInvalidVertex) {
-          errors[i] = Status::NotFound("no spatial hotspots available");
-          continue;
-        }
-        break;
-      case BatchQuery::Kind::kHour:
-        v = map.TemporalVertexAtHour(q.hour);
-        if (v == kInvalidVertex) {
-          errors[i] = Status::NotFound("no temporal hotspots available");
-          continue;
-        }
-        break;
-      case BatchQuery::Kind::kKeyword:
-        errors[i] =
-            Status::NotFound("keyword not in vocabulary: " + q.keyword);
-        continue;
-      case BatchQuery::Kind::kVector:
-        break;
-    }
-    if (q.k <= 0) {
-      errors[i] = Status::InvalidArgument("k must be positive");
+    Result<BatchQuery> q = QueryResolve(queries[i]);
+    if (!q.ok()) {
+      errors[i] = q.status();
       continue;
     }
-    const float* query = v == kInvalidVertex ? q.vector : CenterRow(v);
-    const VertexId exclude = v == kInvalidVertex ? q.exclude : v;
-    scorable.push_back(i);
-    scatter.push_back(
-        BatchQuery::Vector(query, q.result_type, q.k, exclude));
+    scatter.push_back(q.MoveValueUnchecked());
   }
 
   // Scatter: every shard scores the same slot list through its flat

@@ -14,7 +14,8 @@
 namespace actor {
 
 /// Scatter-gather top-k over one immutable ShardedModelSnapshot: the seed
-/// is resolved once against the composite's global ShardMapSnapshot, each
+/// is resolved once against the composite's global ShardMapSnapshot (by
+/// the flat engine's ResolveQuerySeed step), each
 /// shard's flat QueryEngine scores its own rows (sequential or batched —
 /// the kernels are unchanged), and the per-shard heads are merged by the
 /// same explicit (similarity desc, unit id asc) order the flat engine
@@ -39,12 +40,14 @@ class ShardedQueryEngine {
   const ShardedModelSnapshot& snapshot() const { return *snapshot_; }
 
   /// Top-k units of `result_type` nearest to a geographic point (snapped to
-  /// its spatial hotspot via the global resolvers).
+  /// its spatial hotspot via the global resolvers). InvalidArgument for a
+  /// NaN/infinite point.
   Result<std::vector<Neighbor>> QueryByLocation(const GeoPoint& location,
                                                 VertexType result_type,
                                                 int k) const;
 
-  /// Top-k units nearest to an hour-of-day.
+  /// Top-k units nearest to an hour-of-day. InvalidArgument for a
+  /// NaN/infinite hour.
   Result<std::vector<Neighbor>> QueryByHour(double hour,
                                             VertexType result_type,
                                             int k) const;
@@ -75,10 +78,13 @@ class ShardedQueryEngine {
   // public Query* methods (actor-lint treats them as R10 roots): they may
   // allocate per-request scratch, but nothing reachable beneath them may.
 
-  /// Scatters one resolved query vector to every shard and merges.
-  std::vector<Neighbor> QueryScatter(const float* query,
-                                     VertexType result_type, int k,
-                                     VertexId exclude) const;
+  /// A request in its scorable form (ResolveQuerySeed against the
+  /// composite's map; the seed's row and global id filled in as a kVector
+  /// request), or the request's error.
+  Result<BatchQuery> QueryResolve(const BatchQuery& q) const;
+
+  /// Scatters one resolved vector request to every shard and merges.
+  std::vector<Neighbor> QueryScatter(const BatchQuery& q) const;
 
   /// Per-shard heads -> global top-k, by (similarity desc, global id asc).
   /// `heads[s]` holds shard s's local-id results; ids are remapped here.

@@ -1,47 +1,8 @@
 #include "shard/sharded_snapshot.h"
 
-#include <limits>
 #include <utility>
 
 namespace actor {
-
-VertexId ShardMapSnapshot::SpatialVertex(const GeoPoint& location) const {
-  // Same nearest-center scan as ModelSnapshot's online path (which itself
-  // mirrors OnlineActor::SpatialUnit), so a sharded engine and a flat
-  // engine seeded from the same model state pick the same seed unit.
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < spatial_centers.size(); ++i) {
-    const double d = Distance(location, spatial_centers[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : spatial_units[best];
-}
-
-VertexId ShardMapSnapshot::TemporalVertexAt(double timestamp) const {
-  return TemporalVertexAtHour(HourOfDay(timestamp));
-}
-
-VertexId ShardMapSnapshot::TemporalVertexAtHour(double hour) const {
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < temporal_hours.size(); ++i) {
-    const double d = CircularHourDistance(hour, temporal_hours[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : temporal_units[best];
-}
-
-VertexId ShardMapSnapshot::WordVertex(int32_t word_id) const {
-  const auto it = word_units.find(word_id);
-  return it == word_units.end() ? kInvalidVertex : it->second;
-}
 
 std::shared_ptr<const ShardedModelSnapshot> ShardedModelSnapshot::Make(
     std::vector<std::shared_ptr<const ModelSnapshot>> shards,

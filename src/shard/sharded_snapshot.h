@@ -1,13 +1,10 @@
 #ifndef ACTOR_SHARD_SHARDED_SNAPSHOT_H_
 #define ACTOR_SHARD_SHARDED_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "data/record.h"
 #include "graph/types.h"
 #include "serve/model_snapshot.h"
 #include "shard/vertex_partitioner.h"
@@ -22,29 +19,17 @@ namespace actor {
 /// here. Shared by shared_ptr across delta publishes while the unit set is
 /// unchanged, the same trick ModelSnapshot plays with its CatalogState.
 ///
-/// The resolvers mirror ModelSnapshot's online path bit for bit
-/// (nearest-center linear scan, circular-hour scan, word-unit map), so a
-/// sharded engine and a flat engine seeded from the same model state pick
-/// the same seed unit.
-struct ShardMapSnapshot {
+/// The resolvers ARE the live actor's UnitResolver (copied as one value),
+/// the same type a flat online ModelSnapshot resolves through, so a sharded
+/// engine and a flat engine seeded from the same model state pick the same
+/// seed unit.
+struct ShardMapSnapshot : UnitResolver {
   int num_shards = 1;
   std::vector<int32_t> owner;                   // global id -> shard
   std::vector<int32_t> local;                   // global id -> local row
   std::vector<std::vector<VertexId>> globals;   // shard -> local -> global
 
-  // Global modality resolvers (the online catalogue's resolver half).
-  std::vector<GeoPoint> spatial_centers;
-  std::vector<VertexId> spatial_units;
-  std::vector<double> temporal_hours;
-  std::vector<VertexId> temporal_units;
-  std::unordered_map<int32_t, VertexId> word_units;
-
   int32_t num_vertices() const { return static_cast<int32_t>(owner.size()); }
-
-  VertexId SpatialVertex(const GeoPoint& location) const;
-  VertexId TemporalVertexAt(double timestamp) const;
-  VertexId TemporalVertexAtHour(double hour) const;
-  VertexId WordVertex(int32_t word_id) const;
 };
 
 /// A composite of per-shard chunk-COW ModelSnapshots plus the frozen
@@ -84,43 +69,11 @@ class ShardedModelSnapshot {
   std::shared_ptr<const ShardMapSnapshot> map_;
 };
 
-/// Atomic publish/acquire slot for the composite snapshot — the same
-/// release/acquire contract (and the same TSan-aware dual implementation)
-/// as serve's SnapshotStore, lifted to the sharded bundle. Publishing the
-/// composite as ONE pointer swap is what keeps cross-shard consistency:
-/// readers can never observe shard A at version v+1 next to shard B at v.
-class ShardedSnapshotStore {
- public:
-  ShardedSnapshotStore() = default;
-  ShardedSnapshotStore(const ShardedSnapshotStore&) = delete;
-  ShardedSnapshotStore& operator=(const ShardedSnapshotStore&) = delete;
-
-  void Publish(std::shared_ptr<const ShardedModelSnapshot> snapshot) {
-#if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
-    slot_.store(std::move(snapshot), std::memory_order_release);
-#else
-    std::atomic_store_explicit(&slot_, std::move(snapshot),
-                               std::memory_order_release);
-#endif
-  }
-
-  /// Latest published composite; null before the first Publish().
-  std::shared_ptr<const ShardedModelSnapshot> Acquire() const {
-#if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
-    return slot_.load(std::memory_order_acquire);
-#else
-    return std::atomic_load_explicit(&slot_, std::memory_order_acquire);
-#endif
-  }
-
- private:
-#if defined(ACTOR_SERVE_ATOMIC_SHARED_PTR)
-  std::atomic<std::shared_ptr<const ShardedModelSnapshot>> slot_;
-#else
-  // TSan / pre-C++20 path: the free-function atomic shared_ptr overloads.
-  std::shared_ptr<const ShardedModelSnapshot> slot_;
-#endif
-};
+/// Atomic publish/acquire slot for the composite snapshot (the serving
+/// layer's SnapshotSlot). Publishing the composite as ONE pointer swap is
+/// what keeps cross-shard consistency: readers can never observe shard A
+/// at version v+1 next to shard B at v.
+using ShardedSnapshotStore = SnapshotSlot<ShardedModelSnapshot>;
 
 }  // namespace actor
 

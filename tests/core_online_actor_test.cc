@@ -325,30 +325,6 @@ TEST(OnlineActorTest, SingleThreadWithExternalPoolBitIdenticalToNoPool) {
   }
 }
 
-TEST(OnlineActorTest, IncrementalSamplerMatchesFullRebuildDeterministically) {
-  // On the sequential path the cached in-place sampler rebuild must be an
-  // exact optimization: same draws, same updates, same embeddings as
-  // reconstructing every sampler from scratch each batch.
-  const auto batches = MakeBatches(800, 3, 21);
-  OnlineActorOptions incremental = FastOptions();
-  incremental.incremental_sampler = true;
-  OnlineActorOptions full = FastOptions();
-  full.incremental_sampler = false;
-  auto a = OnlineActor::Create(incremental);
-  auto b = OnlineActor::Create(full);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(a->Ingest(batch).ok());
-    ASSERT_TRUE(b->Ingest(batch).ok());
-  }
-  ASSERT_EQ(a->num_units(), b->num_units());
-  for (VertexId v = 0; v < a->num_units(); ++v) {
-    for (int d = 0; d < 16; ++d) {
-      ASSERT_FLOAT_EQ(a->center().row(v)[d], b->center().row(v)[d]);
-    }
-  }
-}
-
 TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
   // Four shards trained on four workers: cross-shard context rows are
   // read through per-batch tile copies, which costs a little quality, but

@@ -85,6 +85,37 @@ TEST(AliasTableTest, ProbabilitiesSumToOne) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
+TEST(AliasTableTest, InPlaceRebuildDrawsLikeAFreshTable) {
+  // The streaming samplers are rebuilt in place batch after batch, so a
+  // used table's Rebuild must leave nothing of its previous weight set
+  // behind: it draws exactly what a freshly built table draws, whether
+  // the previous set was larger or smaller.
+  const std::vector<double> weights = {0.5, 3.0, 0.0, 1.25, 2.0, 0.75};
+  const std::vector<std::vector<double>> previous = {
+      std::vector<double>(17, 1.0),  // larger
+      {9.0, 0.1},                    // smaller
+  };
+  auto fresh = AliasTable::Create(weights);
+  ASSERT_TRUE(fresh.ok());
+  for (const std::vector<double>& prev : previous) {
+    auto reused = AliasTable::Create(prev);
+    ASSERT_TRUE(reused.ok());
+    Rng warm(5);
+    for (int i = 0; i < 100; ++i) reused->Sample(warm);
+    ASSERT_TRUE(reused->Rebuild(weights).ok());
+    ASSERT_EQ(reused->size(), fresh->size());
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      EXPECT_EQ(reused->Probability(i), fresh->Probability(i))
+          << "index " << i;
+    }
+    Rng a(11), b(11);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(reused->Sample(a), fresh->Sample(b))
+          << "draw " << i << " after " << prev.size() << " weights";
+    }
+  }
+}
+
 TEST(AliasTableTest, DeterministicGivenRngSeed) {
   auto table = AliasTable::Create({1.0, 2.0, 3.0});
   ASSERT_TRUE(table.ok());

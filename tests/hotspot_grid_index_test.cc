@@ -91,6 +91,38 @@ TEST(GridIndexTest, ExplicitCellSizeWorks) {
   }
 }
 
+// Queries far outside the hotspot box: the ring walk grew with the
+// distance (the cell index clamps at 1e9, so 1e12 km never returned).
+// They are answered by the linear scan, with the same smallest-index
+// tie-break.
+TEST(GridIndexTest, FarFiniteQueriesMatchLinearScan) {
+  std::vector<GeoPoint> points;
+  for (int i = 0; i < 10; ++i) {
+    for (int j = 0; j < 10; ++j) points.push_back({i * 1.0, j * 1.0});
+  }
+  Grid2dIndex index(points);
+  for (const double far : {1e7, -1e7, 1e12, -1e12}) {
+    for (const GeoPoint& q :
+         {GeoPoint{far, 4.5}, GeoPoint{4.5, far}, GeoPoint{far, far},
+          GeoPoint{far, -far}, GeoPoint{far, 0.0}}) {
+      const int32_t want = NearestPoint(points, q).index;
+      ASSERT_GE(want, 0);
+      EXPECT_EQ(index.Nearest(q), want) << "(" << q.x << ", " << q.y << ")";
+      EXPECT_EQ(want, BruteNearest(points, q));
+    }
+  }
+}
+
+TEST(GridIndexTest, NonFiniteQueryMatchesNothing) {
+  Grid2dIndex index({{0, 0}, {1, 1}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const GeoPoint& q : {GeoPoint{nan, 0.0}, GeoPoint{0.0, nan},
+                            GeoPoint{inf, 0.0}, GeoPoint{0.0, -inf}}) {
+    EXPECT_EQ(index.Nearest(q), -1) << "(" << q.x << ", " << q.y << ")";
+  }
+}
+
 TEST(GridIndexTest, CoincidentPointsTieBreakToSmallestIndex) {
   std::vector<GeoPoint> points = {{5, 5}, {5, 5}, {5, 5}};
   Grid2dIndex index(points);

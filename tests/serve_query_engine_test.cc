@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -227,6 +228,37 @@ TEST(QueryEngineTieBreakTest, EqualScoresOrderByAscendingUnitId) {
   EXPECT_EQ((*batch[1])[0].vertex, 0);
   EXPECT_EQ((*batch[1])[1].vertex, 4);
   EXPECT_EQ((*batch[1])[2].vertex, 6);
+}
+
+// A batch snapshot resolves locations through the hotspot grid index,
+// which never returned for a NaN/infinite point. The resolve step rejects
+// such input before any lookup, on the sequential and the batched path.
+TEST_F(QueryEngineTest, NonFiniteLocationOrHourIsInvalidArgument) {
+  QueryEngine engine(snapshot_);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<BatchQuery> queries;
+  for (const GeoPoint& p : {GeoPoint{nan, 1.0}, GeoPoint{1.0, nan},
+                            GeoPoint{inf, 1.0}, GeoPoint{-inf, 1.0}}) {
+    queries.push_back(BatchQuery::Location(p, VertexType::kWord, 5));
+  }
+  for (const double hour : {nan, inf, -inf}) {
+    queries.push_back(BatchQuery::Hour(hour, VertexType::kWord, 5));
+  }
+  const auto batch = engine.QueryBatch(queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const BatchQuery& q = queries[i];
+    const auto seq =
+        q.kind == BatchQuery::Kind::kLocation
+            ? engine.QueryByLocation(q.location, q.result_type, q.k)
+            : engine.QueryByHour(q.hour, q.result_type, q.k);
+    EXPECT_TRUE(seq.status().IsInvalidArgument())
+        << "request " << i << ": " << seq.status().ToString();
+    EXPECT_TRUE(batch[i].status().IsInvalidArgument())
+        << "request " << i << ": " << batch[i].status().ToString();
+    EXPECT_EQ(seq.status().message(), batch[i].status().message());
+  }
 }
 
 TEST_F(QueryEngineTest, EngineKeepsSnapshotAlive) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/online_actor.h"
@@ -200,6 +201,48 @@ TEST(ShardedQueryEngineTest, ErrorsMirrorFlatEngine) {
                       scatter.QueryByVector(q.data(), VertexType::kWord, -1));
   ExpectSameNeighbors(flat.QueryByKeyword("x", VertexType::kWord, 5),
                       scatter.QueryByKeyword("x", VertexType::kWord, 5));
+}
+
+// A NaN/infinite location or hour is rejected at the one resolve step, by
+// both engines on both paths, instead of surfacing as a misleading
+// NotFound ("no spatial hotspots available") from a scan that matched
+// nothing. Resolution errors keep their precedence over the k check.
+TEST(ShardedQueryEngineTest, NonFiniteLocationOrHourIsInvalidArgument) {
+  Harness h = MakeHarness(2);
+  QueryEngine flat(h.flat_snap);
+  ShardedQueryEngine scatter(h.sharded_snap);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<BatchQuery> queries;
+  for (const GeoPoint& p : {GeoPoint{nan, 1.0}, GeoPoint{1.0, nan},
+                            GeoPoint{inf, 1.0}, GeoPoint{1.0, -inf}}) {
+    queries.push_back(BatchQuery::Location(p, VertexType::kWord, 5));
+  }
+  for (const double hour : {nan, inf, -inf}) {
+    queries.push_back(BatchQuery::Hour(hour, VertexType::kLocation, 0));
+  }
+  const auto flat_batch = flat.QueryBatch(queries);
+  const auto scatter_batch = scatter.QueryBatch(queries);
+  ASSERT_EQ(flat_batch.size(), queries.size());
+  ASSERT_EQ(scatter_batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const BatchQuery& q = queries[i];
+    const bool at_location = q.kind == BatchQuery::Kind::kLocation;
+    const auto flat_seq =
+        at_location ? flat.QueryByLocation(q.location, q.result_type, q.k)
+                    : flat.QueryByHour(q.hour, q.result_type, q.k);
+    const auto scatter_seq =
+        at_location ? scatter.QueryByLocation(q.location, q.result_type, q.k)
+                    : scatter.QueryByHour(q.hour, q.result_type, q.k);
+    for (const auto* r : {&flat_seq, &scatter_seq, &flat_batch[i],
+                          &scatter_batch[i]}) {
+      EXPECT_TRUE(r->status().IsInvalidArgument())
+          << "request " << i << ": " << r->status().ToString();
+      EXPECT_NE(r->status().message().find("must be finite"),
+                std::string::npos)
+          << "request " << i << ": " << r->status().ToString();
+    }
+  }
 }
 
 }  // namespace
