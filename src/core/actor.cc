@@ -9,6 +9,7 @@
 #include "core/meta_graph.h"
 #include "embedding/negative_sampler.h"
 #include "embedding/sgd.h"
+#include "util/cache_line.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -116,15 +117,14 @@ void InitializeFromUserEmbeddings(const BuiltGraphs& graphs,
 /// single summed center vector that predicts the record's location unit,
 /// time unit, and each of its words; the accumulated center gradient is
 /// distributed to every member word. The record's T-L pair trains as two
-/// plain skip-gram steps.
+/// plain skip-gram steps. `comp`, `grad` and `comp_minus` are the calling
+/// shard's scratch of dim floats each.
 void TrainRecordBagOfWords(const RecordUnits& units,
                            const TypedNegativeSampler& noise,
                            const SigmoidTable& sigmoid, int negatives,
                            float lr, bool sum_composite, Rng& rng,
                            EmbeddingMatrix* center, EmbeddingMatrix* context,
-                           std::vector<float>* comp_buf,
-                           std::vector<float>* grad_buf,
-                           std::vector<float>* grad2_buf) {
+                           float* comp, float* grad, float* comp_minus) {
   const std::size_t dim = static_cast<std::size_t>(center->dim());
   const auto& words = units.word_units;
   auto neg = [&noise](EdgeType e, VertexType t) {
@@ -133,7 +133,6 @@ void TrainRecordBagOfWords(const RecordUnits& units,
 
   // T-L pair (both orientations).
   if (units.time_unit != units.location_unit) {
-    float* grad = grad_buf->data();
     Zero(grad, dim);
     NegativeSamplingUpdate(center->row(units.time_unit), units.location_unit,
                            negatives, lr, context, sigmoid, rng,
@@ -151,7 +150,6 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   // vectors (footnote 4 takes the sum; the mean differs only by a scale
   // factor and keeps the sigmoid inputs in the same range as single-unit
   // steps, which matters at small d).
-  float* comp = comp_buf->data();
   Zero(comp, dim);
   for (VertexId w : words) Add(center->row(w), comp, dim);
   if (!sum_composite) {
@@ -159,7 +157,6 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   }
 
   // Bag -> location and bag -> time.
-  float* grad = grad_buf->data();
   Zero(grad, dim);
   NegativeSamplingUpdate(comp, units.location_unit, negatives, lr, context,
                          sigmoid, rng,
@@ -172,7 +169,6 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   // Bag-minus-self -> each word (the WW relation under the bag model).
   if (words.size() >= 2) {
     const float n_words = static_cast<float>(words.size());
-    float* comp_minus = grad2_buf->data();
     for (VertexId w : words) {
       // Composite of the other words: sum - x_w, or its mean
       // (n * comp - x_w) / (n - 1) under the mean composite.
@@ -302,16 +298,11 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   // Per-shard gradient scratch for the record loop, allocated at the
   // dispatch boundary: the record shard body runs on the hot path and
   // must not allocate.
-  const std::size_t record_shards = runner.max_shards();
-  std::vector<std::vector<float>> rec_comp(record_shards),
-      rec_grad(record_shards), rec_grad2(record_shards);
-  if (options.use_bag_of_words) {
-    for (std::size_t t = 0; t < record_shards; ++t) {
-      rec_comp[t].resize(static_cast<std::size_t>(options.dim));
-      rec_grad[t].resize(static_cast<std::size_t>(options.dim));
-      rec_grad2[t].resize(static_cast<std::size_t>(options.dim));
-    }
-  }
+  const std::size_t record_shards =
+      options.use_bag_of_words ? runner.max_shards() : 0;
+  const std::size_t dim = static_cast<std::size_t>(options.dim);
+  ShardScratch rec_comp(record_shards, dim), rec_grad(record_shards, dim),
+      rec_grad2(record_shards, dim);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const float frac =
         static_cast<float>(epoch) / static_cast<float>(options.epochs);
@@ -348,8 +339,9 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
               graphs.record_units[shard_rng.Uniform(graphs.record_units.size())];
           TrainRecordBagOfWords(units, noise, sigmoid, options.negatives, lr,
                                 options.bow_sum_composite, shard_rng,
-                                &model.center, &model.context, &rec_comp[slot],
-                                &rec_grad[slot], &rec_grad2[slot]);
+                                &model.center, &model.context,
+                                rec_comp.slot(slot), rec_grad.slot(slot),
+                                rec_grad2.slot(slot));
         }
       };
       runner.ShardedRange(static_cast<std::size_t>(records_per_epoch),

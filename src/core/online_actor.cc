@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "embedding/sgd.h"
+#include "util/cache_line.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -63,6 +64,9 @@ Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   model.owned_dirty_.resize(static_cast<std::size_t>(model.shards_));
   model.tiles_.resize(static_cast<std::size_t>(model.shards_));
   for (auto& tiles : model.tiles_) tiles.SetDim(options.dim);
+  model.epoch_samples_.resize(static_cast<std::size_t>(model.shards_));
+  model.epoch_grad_ = ShardScratch(static_cast<std::size_t>(model.shards_),
+                                   static_cast<std::size_t>(options.dim));
   return model;
 }
 
@@ -143,18 +147,11 @@ VertexId OnlineActor::ResolveUser(int64_t user_id) {
   return unit;
 }
 
-void OnlineActor::AccumulateEdge(VertexId a, VertexId b) {
+void OnlineActor::CollectEdge(VertexId a, VertexId b) {
   if (a == b || a == kInvalidVertex || b == kInvalidVertex) return;
   auto type = EdgeTypeBetween(types_[a], types_[b]);
   if (!type.ok()) return;
-  // Local-write replication: the edge lands in every distinct owner's
-  // replica store (one store when both endpoints share a shard).
-  edges_[static_cast<int>(*type)].Accumulate(a, b, map_);
-}
-
-void OnlineActor::DecayEdges() {
-  if (options_.decay_per_batch >= 1.0) return;
-  for (auto& store : edges_) store.Decay(options_.decay_per_batch);
+  batch_edges_[static_cast<int>(*type)].push_back({a, b});
 }
 
 std::size_t OnlineActor::num_live_edges() const {
@@ -167,15 +164,22 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
   // The whole batch is checked before any state changes, so a rejected
   // batch leaves the model exactly as it was.
   ACTOR_RETURN_NOT_OK(ValidateBatch(batch));
+  ResolveBatch(batch);
+  ++batches_;
   // Recency decay happens before the new co-occurrences arrive, so the
   // newest batch always carries full weight. An empty batch is a valid
   // pure-decay tick (sparse-stream mode): a time slice passed with no
   // observations, so weights fade and training continues on the decayed
   // distribution. Because uniform decay never bumps an edge store's
   // version(), RefreshSamplers short-circuits and the tick skips every
-  // alias-table rebuild — the accumulate loop below is simply empty.
-  DecayEdges();
+  // alias-table rebuild.
+  for (int s = 0; s < shards_; ++s) ACTOR_RETURN_NOT_OK(PrepareShard(s));
+  TrainShards();
+  return Status::OK();
+}
 
+void OnlineActor::ResolveBatch(const std::vector<TokenizedRecord>& batch) {
+  for (auto& edges : batch_edges_) edges.clear();
   for (const TokenizedRecord& rec : batch) {
     const VertexId t = ResolveTemporal(rec.timestamp);
     const VertexId l = ResolveSpatial(rec.location);
@@ -183,32 +187,58 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
     words.reserve(rec.word_ids.size());
     for (int32_t w : rec.word_ids) words.push_back(ResolveWord(w));
 
-    AccumulateEdge(t, l);
+    CollectEdge(t, l);
     for (VertexId w : words) {
-      AccumulateEdge(l, w);
-      AccumulateEdge(w, t);
+      CollectEdge(l, w);
+      CollectEdge(w, t);
     }
     for (std::size_t i = 0; i < words.size(); ++i) {
       for (std::size_t j = i + 1; j < words.size(); ++j) {
-        AccumulateEdge(words[i], words[j]);
+        CollectEdge(words[i], words[j]);
       }
     }
     if (options_.use_user_edges) {
       auto link_user = [&](int64_t user_id) {
         const VertexId u = ResolveUser(user_id);
-        AccumulateEdge(u, t);
-        AccumulateEdge(u, l);
-        for (VertexId w : words) AccumulateEdge(u, w);
+        CollectEdge(u, t);
+        CollectEdge(u, l);
+        for (VertexId w : words) CollectEdge(u, w);
       };
       link_user(rec.user_id);
       for (int64_t m : rec.mentioned_user_ids) {
         link_user(m);
-        AccumulateEdge(ResolveUser(rec.user_id), ResolveUser(m));
+        CollectEdge(ResolveUser(rec.user_id), ResolveUser(m));
       }
     }
   }
-  ++batches_;
-  return TrainBatch();
+}
+
+Status OnlineActor::PrepareShard(int s) {
+  std::array<int64_t, kNumEdgeTypes>& samples =
+      epoch_samples_[static_cast<std::size_t>(s)];
+  RemoteTileCache& tiles = tiles_[static_cast<std::size_t>(s)];
+  for (int e = 0; e < kNumEdgeTypes; ++e) {
+    // Local-write replication: shard s's replica takes every batch edge it
+    // owns an endpoint of, so a cross-shard edge lands in both owners'.
+    edges_[e].ApplyBatch(s, options_.decay_per_batch, batch_edges_[e], map_);
+    const OnlineEdgeStore& store = edges_[e].shard(s);
+    samples[static_cast<std::size_t>(e)] = 0;
+    if (store.empty()) continue;
+    ACTOR_RETURN_NOT_OK(RefreshSamplers(e, s));
+    // Both directions of every undirected edge carry the per-edge budget,
+    // counted over each shard's own replica store, so a cross-shard edge —
+    // present in both owners' stores but trained only in its
+    // locally-centered orientation by each — receives the same 2x-per-edge
+    // budget in total, split by ownership (docs/sharding.md).
+    samples[static_cast<std::size_t>(e)] = static_cast<int64_t>(
+        options_.samples_per_edge_per_batch * 2.0 *
+        static_cast<double>(store.size()));
+    // The tile exchange: a fresh read-snapshot of the context rows of the
+    // remote vertices this store's edges touch. No epoch has run yet, so
+    // every owner's rows are still those the last batch left.
+    if (shards_ > 1) tiles.Refresh(s, store, map_, context_);
+  }
+  return Status::OK();
 }
 
 Status OnlineActor::RefreshSamplers(int e, int s) {
@@ -245,65 +275,40 @@ Status OnlineActor::RefreshSamplers(int e, int s) {
   return Status::OK();
 }
 
-Status OnlineActor::TrainBatch() {
-  // Batch barrier, part 1: every shard gets a fresh read-snapshot of the
-  // context rows of remote vertices its edges touch.
-  RefreshRemoteTiles();
-  const std::size_t dim = static_cast<std::size_t>(options_.dim);
-  std::vector<int64_t> samples(static_cast<std::size_t>(shards_), 0);
-  std::vector<float> shard_grad(static_cast<std::size_t>(shards_) * dim);
+void OnlineActor::TrainShards() {
+  // Edge type e's epochs are seeded with the SGD steps scheduled before
+  // it, over every shard and every earlier edge type of this batch.
+  std::array<uint64_t, kNumEdgeTypes> steps{};
   for (int e = 0; e < kNumEdgeTypes; ++e) {
-    if (edges_[e].empty()) continue;
-    // Sampler refresh + budget sizing happen on the ingest thread (may
-    // allocate). Both directions of every undirected edge carry the
-    // per-edge budget, counted over each shard's own replica store, so a
-    // cross-shard edge — present in both owners' stores but trained only
-    // in its locally-centered orientation by each — receives the same
-    // 2x-per-edge budget in total, split by ownership (docs/sharding.md).
-    int64_t total = 0;
-    for (int s = 0; s < shards_; ++s) {
-      const OnlineEdgeStore& store = edges_[e].shard(s);
-      if (store.empty()) {
-        samples[static_cast<std::size_t>(s)] = 0;
-        continue;
-      }
-      ACTOR_RETURN_NOT_OK(RefreshSamplers(e, s));
-      const auto n = static_cast<int64_t>(
-          options_.samples_per_edge_per_batch * 2.0 *
-          static_cast<double>(store.size()));
-      samples[static_cast<std::size_t>(s)] = n;
-      total += n;
+    steps[static_cast<std::size_t>(e)] = train_steps_;
+    for (const auto& samples : epoch_samples_) {
+      train_steps_ +=
+          static_cast<uint64_t>(samples[static_cast<std::size_t>(e)]);
     }
-    if (total <= 0) continue;
-    const uint64_t step = train_steps_;
-    float* const grad_base = shard_grad.data();
-    const int64_t* const samples_base = samples.data();
-    // One epoch per shard: each epoch writes only shard-owned rows and its
-    // own dirty set, so the epochs are mutually write-isolated and the
-    // result is bit-identical however the runner groups them — training
-    // is deterministic at ANY thread count. The runner's chunk id is
-    // unused: scratch and seeds are keyed by the model shard s.
-    runner_.ShardedRange(
-        static_cast<std::size_t>(shards_),
-        [this, e, step, grad_base, samples_base, dim](
-            int /*chunk*/, std::size_t lo, std::size_t hi) {
-          for (std::size_t s = lo; s < hi; ++s) {
-            if (samples_base[s] <= 0) continue;
-            TrainShardEpoch(e, static_cast<int>(s), samples_base[s],
-                            ShardSeed(options_.seed, step, s),
-                            &owned_dirty_[s], grad_base + s * dim);
-          }
-        });
-    train_steps_ += static_cast<uint64_t>(total);
   }
+  // One dispatch per batch; each shard runs its edge-type epochs back to
+  // back. An epoch writes only shard-owned rows, its own tile copies and
+  // its own dirty set, and reads only those plus state frozen at prepare,
+  // so the result is bit-identical however the shards are scheduled —
+  // training is deterministic at ANY thread count.
+  runner_.ParallelFor(
+      static_cast<std::size_t>(shards_), [this, &steps](std::size_t s) {
+        for (int e = 0; e < kNumEdgeTypes; ++e) {
+          const int64_t n = epoch_samples_[s][static_cast<std::size_t>(e)];
+          if (n <= 0) continue;
+          TrainShardEpoch(
+              e, static_cast<int>(s), n,
+              ShardSeed(options_.seed, steps[static_cast<std::size_t>(e)], s),
+              &owned_dirty_[s], epoch_grad_.slot(s));
+        }
+      });
   // Sweep both matrices for NaN/inf after every batch in debug builds
   // (same policy as EdgeSamplingTrainer).
   ACTOR_DCHECK(center_.DebugValidate());
   ACTOR_DCHECK(context_.DebugValidate());
-  return Status::OK();
 }
 
-// May run concurrently with the other shards' epochs (ShardedRange
+// May run concurrently with the other shards' epochs (ParallelFor
 // dispatch), but every write lands in shard-s-owned state: center/context
 // rows of owned vertices, the private remote-tile copies, and this shard's
 // own dirty set. Allocation-free: `grad` scratch is owned by the dispatch
@@ -386,25 +391,6 @@ void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
       Add(grad, center.row(lu), dim);
       dirty->Mark(lu);
       if (map_.owner(v) == s) dirty->Mark(map_.local_row(v));
-    }
-  }
-}
-
-void OnlineActor::RefreshRemoteTiles() {
-  if (shards_ == 1) return;  // no remote vertices exist
-  for (int s = 0; s < shards_; ++s) {
-    RemoteTileCache& tiles = tiles_[static_cast<std::size_t>(s)];
-    for (int e = 0; e < kNumEdgeTypes; ++e) {
-      const OnlineEdgeStore& store = edges_[e].shard(s);
-      const std::vector<VertexId>& src = store.src();
-      const std::vector<VertexId>& dst = store.dst();
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        for (const VertexId v : {src[i], dst[i]}) {
-          const int owner = map_.owner(v);
-          if (owner == s) continue;
-          tiles.Put(v, context_.shard(owner).row(map_.local_row(v)));
-        }
-      }
     }
   }
 }

@@ -1,6 +1,7 @@
 #ifndef ACTOR_CORE_ONLINE_ACTOR_H_
 #define ACTOR_CORE_ONLINE_ACTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "shard/sharded_matrix.h"
 #include "shard/sharded_snapshot.h"
 #include "shard/vertex_partitioner.h"
+#include "util/cache_line.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -61,11 +63,14 @@ struct OnlineActorOptions {
   bool use_user_edges = true;
 
   /// Worker threads for the per-batch re-embed phase. With
-  /// num_threads <= 1 the shard epochs run one after another on the ingest
-  /// thread; with more threads the shards are split across the pool's
-  /// workers. Every epoch writes only shard-owned state, so the result is
-  /// bit-identical either way — parallelism comes from num_shards, not
-  /// from splitting a shard's sample budget.
+  /// num_threads <= 1 the shards train one after another on the ingest
+  /// thread. With a pool of P workers the shards are split into
+  /// min(num_shards, P + 1) contiguous groups: the ingest thread trains
+  /// one group and the workers the others, so up to P + 1 shards train at
+  /// once (4 shards on a 3-worker pool all run together). Every shard
+  /// writes only shard-owned state, so the result is bit-identical either
+  /// way — parallelism comes from num_shards, not from splitting a shard's
+  /// sample budget.
   int num_threads = 1;
   /// Externally-owned persistent worker pool (ShardRunner policy,
   /// util/thread_pool.h). When null and num_threads > 1 the actor creates
@@ -93,14 +98,17 @@ struct OnlineActorOptions {
 /// after every batch. Units never seen again fade from the sampling
 /// distribution but keep their vectors.
 ///
-/// Each Ingest() runs the cycle described in docs/streaming.md:
-///   validate -> decay -> resolve units -> accumulate co-occurrences ->
-///   remote-tile refresh -> incremental sampler rebuild -> re-embed.
-/// The re-embed phase runs one trainer epoch per shard per edge type,
-/// dispatched through a ShardRunner (on the pool when num_threads > 1). Per-shard RNG streams derive
-/// from ShardSeed, and all row arithmetic goes through the
-/// runtime-dispatched kernels in util/vec_math.h (so the TSan `relaxed`
-/// backend covers the streaming path too).
+/// Each Ingest() runs the three-step cycle described in docs/streaming.md:
+///   1. resolve: validate the batch, resolve its units and collect its
+///      co-occurrences into per-edge-type batch edge lists;
+///   2. prepare, one shard at a time on the ingest thread: decay the
+///      shard's replica stores and accumulate the batch edges it owns,
+///      rebuild its changed samplers, refresh its remote tiles;
+///   3. train: one ShardRunner::ParallelFor dispatch in which every shard
+///      runs its edge-type epochs back to back.
+/// Per-shard RNG streams derive from ShardSeed, and all row arithmetic
+/// goes through the runtime-dispatched kernels in util/vec_math.h (so the
+/// TSan `relaxed` backend covers the streaming path too).
 class OnlineActor {
  public:
   /// Creates an empty model; the first Ingest() bootstraps everything.
@@ -243,11 +251,22 @@ class OnlineActor {
   VertexId ResolveWord(int32_t word_id);
   VertexId ResolveUser(int64_t user_id);
 
-  void AccumulateEdge(VertexId a, VertexId b);
-  void DecayEdges();
-  /// The re-embed phase: remote-tile refresh, per-shard sampler refresh,
-  /// one trainer epoch per shard per edge type.
-  Status TrainBatch();
+  /// Ingest step 1: resolves every record's units (spawning new ones) and
+  /// fills batch_edges_ with the batch's co-occurrences in record order.
+  void ResolveBatch(const std::vector<TokenizedRecord>& batch);
+  /// Appends {a, b} to its edge type's batch list; self-loops, invalid ids
+  /// and pairs with no edge type are dropped.
+  void CollectEdge(VertexId a, VertexId b);
+  /// Ingest step 2 for shard `s` (ingest thread, may allocate): decays its
+  /// replica stores and accumulates the batch edges it owns, refreshes its
+  /// samplers, sizes its epochs (epoch_samples_[s]) and refreshes its
+  /// remote tiles.
+  Status PrepareShard(int s);
+  /// Ingest step 3: one dispatch in which every shard runs its edge-type
+  /// epochs back to back. Epoch (e, s) is seeded with ShardSeed(seed,
+  /// steps, s), where steps counts every SGD step scheduled before edge
+  /// type e — all shards of earlier types and earlier batches.
+  void TrainShards();
   /// Brings samplers_[e][s] up to date with edges_[e].shard(s) (no-op when
   /// the store version matches — e.g. after pure-decay batches). Noise
   /// candidates are filtered to shard-owned vertices, so negative draws
@@ -257,15 +276,11 @@ class OnlineActor {
   /// replica store, trains only orientations whose center endpoint it
   /// owns, resolves remote positive-context rows through tiles_[s], and
   /// marks `dirty` (= owned_dirty_[s], exclusively this shard's) with
-  /// LOCAL row ids. Dispatched through runner_, which splits the shards
-  /// across the pool's workers; the body is
-  /// allocation-free — `grad` is caller-owned scratch of length
+  /// LOCAL row ids. Runs inside TrainShards' dispatch; the body is
+  /// allocation-free — `grad` is the shard's epoch_grad_ slot of length
   /// options_.dim.
   void TrainShardEpoch(int e, int s, int64_t num_samples, uint64_t seed,
                        DirtyRowSet* dirty, float* grad);
-  /// Recopies every remote endpoint's context row into the owning shards'
-  /// tile caches — the batch-barrier tile exchange (docs/sharding.md).
-  void RefreshRemoteTiles();
   /// batches_ingested() plus the per-edge-type store versions: the
   /// monotone version both publish paths stamp.
   uint64_t ModelVersion() const;
@@ -311,13 +326,22 @@ class OnlineActor {
   // against its own replica store.
   ShardedEdgeStore edges_[kNumEdgeTypes];
   std::vector<SamplerCache> samplers_[kNumEdgeTypes];
+  /// The current batch's co-occurrences per edge type, in record order
+  /// (ResolveBatch fills them; capacity is kept across batches).
+  std::vector<BatchEdge> batch_edges_[kNumEdgeTypes];
+  /// Per shard, the SGD samples of each edge type's epoch this batch
+  /// (PrepareShard sizes them; 0 = no epoch).
+  std::vector<std::array<int64_t, kNumEdgeTypes>> epoch_samples_;
+  /// Per-shard gradient scratch for the epochs; no two shards' slots
+  /// share or neighbour a cache line (util/cache_line.h).
+  ShardScratch epoch_grad_;
 
   /// Per-shard persistent dirty sets over LOCAL row ids, marked by AddUnit
   /// and by each shard's single-writer epoch (no merge needed), and
   /// cleared by PublishShardedSnapshot's per-shard deltas.
   std::vector<DirtyRowSet> owned_dirty_;
   /// Per-shard read-only caches of remote vertices' context rows,
-  /// refreshed at the batch barrier (RefreshRemoteTiles).
+  /// refreshed at prepare (PrepareShard).
   std::vector<RemoteTileCache> tiles_;
 
   /// Dispatches the per-shard epochs (inline at num_threads <= 1).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/cache_line.h"
 #include "util/logging.h"
 
 namespace actor {
@@ -100,7 +101,9 @@ class DirtyRowSet {
 
  private:
   int32_t rows_ = 0;
-  std::vector<uint64_t> bits_;
+  // Concurrent shard epochs each mark their own set; the allocator keeps
+  // every set's words clear of the others' cache lines (false sharing).
+  std::vector<uint64_t, CacheLineAllocator<uint64_t>> bits_;
 };
 
 }  // namespace actor

@@ -6,6 +6,7 @@
 #include "embedding/negative_sampler.h"
 #include "embedding/sgd.h"
 #include "graph/alias_table.h"
+#include "util/cache_line.h"
 #include "util/thread_pool.h"
 #include "util/vec_math.h"
 
@@ -91,13 +92,12 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   // Per-shard gradient scratch, allocated at the dispatch boundary: the
   // shard body runs on the hot path and must not allocate.
   const std::size_t dim = static_cast<std::size_t>(options.dim);
-  std::vector<float> shard_grad(runner.max_shards() * dim);
-  float* const grad_base = shard_grad.data();
+  ShardScratch shard_grad(runner.max_shards(), dim);
   // The analyzer derives this lambda's HOGWILD scope from the ShardedRange
   // dispatch below (shared rows only through the fused kernels).
   auto shard = [&](int thread_id, std::size_t lo, std::size_t hi) {
     Rng rng(ShardSeed(options.seed, /*step=*/0x11e5u, thread_id));
-    float* const grad = grad_base + static_cast<std::size_t>(thread_id) * dim;
+    float* const grad = shard_grad.slot(static_cast<std::size_t>(thread_id));
     for (std::size_t i = lo; i < hi; ++i) {
       // Linear learning-rate decay over the global budget.
       const int64_t done = progress.fetch_add(1, std::memory_order_relaxed);

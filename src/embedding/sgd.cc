@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "util/cache_line.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -61,15 +62,14 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
   const std::size_t dim = static_cast<std::size_t>(center_->dim());
   // Per-shard gradient scratch, allocated at the dispatch boundary: the
   // shard bodies themselves are allocation-free (hot-path rule).
-  std::vector<float> shard_grad(runner_.max_shards() * dim);
-  float* const grad_base = shard_grad.data();
+  ShardScratch shard_grad(runner_.max_shards(), dim);
   runner_.ShardedRange(
       static_cast<std::size_t>(num_samples),
-      [this, e, lr, step, grad_base, dim](int shard, std::size_t lo,
-                                          std::size_t hi) {
+      [this, e, lr, step, &shard_grad](int shard, std::size_t lo,
+                                       std::size_t hi) {
         TrainShard(e, static_cast<int64_t>(hi - lo), lr,
                    ShardSeed(options_.seed, step, shard),
-                   grad_base + static_cast<std::size_t>(shard) * dim);
+                   shard_grad.slot(static_cast<std::size_t>(shard)));
       });
   steps_done_ += num_samples;
   // HOGWILD updates cannot be checked per-step without serializing the

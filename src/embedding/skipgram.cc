@@ -7,6 +7,7 @@
 
 #include "embedding/sgd.h"
 #include "graph/alias_table.h"
+#include "util/cache_line.h"
 #include "util/thread_pool.h"
 #include "util/vec_math.h"
 
@@ -88,15 +89,14 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
   ShardRunner runner(options.num_threads, options.pool);
   // Per-shard gradient scratch, allocated at the dispatch boundary: the
   // shard body runs on the hot path and must not allocate.
-  std::vector<float> shard_grad(runner.max_shards() * dim);
-  float* const grad_base = shard_grad.data();
+  ShardScratch shard_grad(runner.max_shards(), dim);
   // Trains every walk in [walk_lo, walk_hi), all epochs. Shards update the
   // shared matrices lock-free (HOGWILD) — the analyzer derives this scope
   // from the named-lambda ShardedRange dispatch below.
   auto train_walks = [&](int shard, std::size_t walk_lo,
                          std::size_t walk_hi) {
     Rng rng(ShardSeed(options.seed, /*step=*/1, shard));
-    float* const grad = grad_base + static_cast<std::size_t>(shard) * dim;
+    float* const grad = shard_grad.slot(static_cast<std::size_t>(shard));
     for (int epoch = 0; epoch < options.epochs; ++epoch) {
       for (std::size_t w = walk_lo; w < walk_hi; ++w) {
         const auto& walk = walks[w];

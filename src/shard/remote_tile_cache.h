@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "core/online_edge_store.h"
 #include "embedding/embedding_matrix.h"
 #include "graph/types.h"
+#include "shard/sharded_matrix.h"
+#include "shard/vertex_partitioner.h"
 #include "util/logging.h"
 
 namespace actor {
@@ -26,10 +29,11 @@ namespace actor {
 /// embedding system makes; here it buys full write isolation, which is what
 /// makes sharded training deterministic at any thread count.
 ///
-/// Thread-compatibility: Put() is barrier-only (ingest thread);
-/// row() / lookups are used by exactly one shard epoch at a time. Slots
-/// persist across batches (vertices never disappear), so steady-state
-/// refreshes allocate nothing new.
+/// Thread-compatibility: Put() and Refresh() are barrier-only (ingest
+/// thread, before the epochs are dispatched); row() / lookups are used by
+/// exactly one shard epoch at a time. Slots persist across batches
+/// (vertices never disappear), so steady-state refreshes allocate nothing
+/// new.
 class RemoteTileCache {
  public:
   RemoteTileCache() = default;
@@ -54,6 +58,22 @@ class RemoteTileCache {
       slot = it->second;
     }
     rows_.SetRow(slot, src);
+  }
+
+  /// Puts the current context row of every endpoint of `store`'s edges
+  /// that shard `self` does not own, read from its owner's shard of
+  /// `context` — one edge type's part of shard `self`'s tile exchange.
+  void Refresh(int self, const OnlineEdgeStore& store, const ShardMap& map,
+               const ShardedEmbeddingMatrix& context) {
+    const std::vector<VertexId>& src = store.src();
+    const std::vector<VertexId>& dst = store.dst();
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      for (const VertexId v : {src[i], dst[i]}) {
+        const int owner = map.owner(v);
+        if (owner == self) continue;
+        Put(v, context.shard(owner).row(map.local_row(v)));
+      }
+    }
   }
 
   /// Hot-path lookup: the private copy of `v`'s context row. `v` must have

@@ -11,6 +11,12 @@
 
 namespace actor {
 
+/// One co-occurrence of an ingest batch, in global vertex ids.
+struct BatchEdge {
+  VertexId a = kInvalidVertex;
+  VertexId b = kInvalidVertex;
+};
+
 /// One edge type's decaying edge store, partitioned by vertex ownership:
 /// one OnlineEdgeStore per shard, all keyed by *global* vertex ids.
 ///
@@ -26,6 +32,11 @@ namespace actor {
 /// sequence, so their weights stay bit-equal and they drop on the same
 /// Decay tick. SizeUnique() counts cross-shard edges once by attributing
 /// each edge to its canonical src's owner.
+///
+/// Replicas advance one shard at a time (ApplyBatch): a replica's state
+/// depends only on its own decay/accumulate history, so the shards of one
+/// batch may be stepped in any order, or interleaved with other shards'
+/// training, without changing a bit.
 class ShardedEdgeStore {
  public:
   ShardedEdgeStore() { stores_.resize(1); }
@@ -49,18 +60,19 @@ class ShardedEdgeStore {
     return stores_[static_cast<std::size_t>(s)];
   }
 
-  /// Adds `w` to the undirected edge {a, b} in every owner replica.
-  void Accumulate(VertexId a, VertexId b, const ShardMap& map,
-                  double w = 1.0) {
-    const int sa = map.owner(a);
-    const int sb = map.owner(b);
-    stores_[static_cast<std::size_t>(sa)].Accumulate(a, b, w);
-    if (sb != sa) stores_[static_cast<std::size_t>(sb)].Accumulate(a, b, w);
-  }
-
-  /// Uniform decay of every replica (factor in (0, 1]; 1 is a no-op).
-  void Decay(double factor) {
-    for (OnlineEdgeStore& store : stores_) store.Decay(factor);
+  /// One batch step of shard `s`'s replica: uniform decay by `factor` (in
+  /// (0, 1]; 1 is a no-op), then a unit-weight accumulate of every edge in
+  /// `batch` that has an endpoint shard `s` owns, in batch order. Stepping
+  /// every shard routes each edge into every distinct owner's replica.
+  void ApplyBatch(int s, double factor, const std::vector<BatchEdge>& batch,
+                  const ShardMap& map) {
+    OnlineEdgeStore& store = shard(s);
+    store.Decay(factor);
+    for (const BatchEdge& edge : batch) {
+      if (map.owner(edge.a) == s || map.owner(edge.b) == s) {
+        store.Accumulate(edge.a, edge.b);
+      }
+    }
   }
 
   /// Sum of per-shard versions — bumps exactly when any replica's sampling

@@ -1,8 +1,23 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace actor {
+namespace {
+
+/// Chunk `c` of `chunks` near-equal contiguous chunks of [0, n): the first
+/// n % chunks chunks hold one item more than the rest.
+std::pair<std::size_t, std::size_t> BalancedChunk(std::size_t n,
+                                                  std::size_t chunks,
+                                                  std::size_t c) {
+  const std::size_t base = n / chunks;
+  const std::size_t extra = n % chunks;
+  const std::size_t lo = c * base + std::min(c, extra);
+  return {lo, lo + base + (c < extra ? 1 : 0)};
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
@@ -41,12 +56,11 @@ void ThreadPool::ShardedRange(
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t chunks = std::min(n, num_threads());
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
   for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    Submit([c, lo, hi, &fn] { fn(static_cast<int>(c), lo, hi); });
+    const auto [lo, hi] = BalancedChunk(n, chunks, c);
+    Submit([c, lo = begin + lo, hi = begin + hi, &fn] {
+      fn(static_cast<int>(c), lo, hi);
+    });
   }
   Wait();
 }
@@ -70,6 +84,26 @@ void ShardRunner::ShardedRange(
     return;
   }
   pool_->ShardedRange(0, n, fn);
+}
+
+void ShardRunner::ParallelFor(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  const std::size_t chunks =
+      pool_ == nullptr ? 1 : std::min(n, pool_->num_threads() + 1);
+  auto run_chunk = [n, chunks, &fn](std::size_t c) {
+    const auto [lo, hi] = BalancedChunk(n, chunks, c);
+    for (std::size_t i = lo; i < hi; ++i) fn(i);
+  };
+  if (chunks == 1) {
+    run_chunk(0);
+    return;
+  }
+  for (std::size_t c = 1; c < chunks; ++c) {
+    pool_->Submit([c, &run_chunk] { run_chunk(c); });
+  }
+  run_chunk(0);
+  pool_->Wait();
 }
 
 void ThreadPool::WorkerLoop() {

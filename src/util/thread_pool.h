@@ -50,15 +50,14 @@ class ThreadPool {
   /// no task in flight). Only call from threads outside the pool.
   void Wait();
 
-  /// Splits [begin, end) into one near-equal contiguous chunk per worker
-  /// and runs fn(shard, lo, hi) for each on the pool, then waits. Shard ids
+  /// Splits [begin, end) into min(end - begin, num_threads()) contiguous
+  /// chunks whose sizes differ by at most one (the larger ones first) and
+  /// runs fn(shard, lo, hi) for each on the pool, then waits. Shard ids
   /// are dense in [0, chunks) so callers can derive uncorrelated per-shard
   /// RNG streams (the ShardSeed() SplitMix64 chain in embedding/sgd.h is
-  /// the canonical recipe, used by both EdgeSamplingTrainer and
-  /// OnlineActor). When the range has fewer items than workers, only
-  /// `end - begin` shards run; an empty range runs nothing. fn must be
-  /// safe to call concurrently on disjoint ranges (the HOGWILD trainers
-  /// rely on exactly that).
+  /// the canonical recipe). An empty range runs nothing. fn must be safe
+  /// to call concurrently on disjoint ranges (the HOGWILD trainers rely on
+  /// exactly that).
   void ShardedRange(
       std::size_t begin, std::size_t end,
       const std::function<void(int, std::size_t, std::size_t)>& fn);
@@ -103,6 +102,15 @@ class ShardRunner {
   void ShardedRange(
       std::size_t n,
       const std::function<void(int, std::size_t, std::size_t)>& fn);
+
+  /// Runs fn(i) once for every i in [0, n) — independent items such as
+  /// model shards — and returns when all are done. The calling thread
+  /// works too: [0, n) is split like ShardedRange() into
+  /// min(n, max_shards() + 1) chunks, the pool's workers run all but the
+  /// first and the caller runs the first, so a P-worker pool runs up to
+  /// P + 1 items at once. Inline, every item runs on the caller in order.
+  /// fn must be safe to call concurrently on distinct items.
+  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   std::unique_ptr<ThreadPool> owned_;  // backs pool_ when not borrowed

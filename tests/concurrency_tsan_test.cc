@@ -124,11 +124,13 @@ TEST(ConcurrencyTsanTest, TrainSkipGramMultiThread) {
 }
 
 TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
-  // Streaming path: kThreads shard epochs run concurrently on the pool,
-  // each writing only its own rows, dirty set and remote-tile copies while
-  // reading the shared edge stores and ownership map — TSan must see no
-  // race between them. Exercises decay, drops, remote-tile refreshes and
-  // incremental sampler rebuilds across batches.
+  // Streaming path: the shards train concurrently in one dispatch, the
+  // ingest thread among them, each writing only its own rows, dirty set
+  // and remote-tile copies while reading the shared edge stores and
+  // ownership map — TSan must see no race between them. Exercises decay,
+  // drops, remote-tile refreshes and incremental sampler rebuilds across
+  // batches. With kThreads + 1 shards on kThreads workers every executor,
+  // the ingest thread included, trains a shard at the same time.
   SyntheticConfig config;
   config.seed = 11;
   config.num_records = 900;
@@ -151,19 +153,22 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
   }
 
   ThreadPool pool(kThreads);
-  OnlineActorOptions options;
-  options.dim = 16;
-  options.samples_per_edge_per_batch = 2.0;
-  options.num_shards = kThreads;
-  options.num_threads = kThreads;
-  options.pool = &pool;  // caller-owned persistent pool
-  auto model = OnlineActor::Create(options);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(model->Ingest(batch).ok());
+  for (int shards : {kThreads, kThreads + 1}) {
+    SCOPED_TRACE(shards);
+    OnlineActorOptions options;
+    options.dim = 16;
+    options.samples_per_edge_per_batch = 2.0;
+    options.num_shards = shards;
+    options.num_threads = kThreads;
+    options.pool = &pool;  // caller-owned persistent pool
+    auto model = OnlineActor::Create(options);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(model->Ingest(batch).ok());
+    }
+    EXPECT_GT(model->num_live_edges(), 0u);
+    EXPECT_TRUE(AllFinite(model->GatherCenter()));
   }
-  EXPECT_GT(model->num_live_edges(), 0u);
-  EXPECT_TRUE(AllFinite(model->GatherCenter()));
 }
 
 TEST(ConcurrencyTsanTest, QueryDuringIngest) {

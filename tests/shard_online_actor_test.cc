@@ -64,12 +64,12 @@ struct PipelineDigest {
   uint64_t topk = 0;
 };
 
-// Trains default options on the MakeBatches(900, 3) stream and digests the
+// Trains `options` on the MakeBatches(900, 3) stream and digests the
 // gathered center matrix plus the flat snapshot's version and top-10
 // QueryByHour results (hours 8 and 20, every vertex type).
-PipelineDigest DigestDefaultPipeline() {
+PipelineDigest DigestPipeline(const OnlineActorOptions& options) {
   PipelineDigest digest;
-  auto model = OnlineActor::Create(FastOptions());
+  auto model = OnlineActor::Create(options);
   EXPECT_TRUE(model.ok());
   if (!model.ok()) return digest;
   for (const auto& batch : MakeBatches(900, 3)) {
@@ -125,11 +125,53 @@ TEST(ShardOnlineActorTest, DefaultPipelineMatchesRecordedDigests) {
     // A backend the host or build cannot install (AVX2 absent; TSan
     // builds install only the relaxed kernels) is skipped.
     if (SetVecBackend(golden.backend) != golden.backend) continue;
-    const PipelineDigest digest = DigestDefaultPipeline();
+    const PipelineDigest digest = DigestPipeline(FastOptions());
     EXPECT_EQ(digest.center, golden.digest.center)
         << VecBackendName(golden.backend) << " center digest";
     EXPECT_EQ(digest.topk, golden.digest.topk)
         << VecBackendName(golden.backend) << " top-k digest";
+    ++checked;
+  }
+  SetVecBackend(original);
+  EXPECT_GT(checked, 0);
+}
+
+// Pins the trained values of the four-shard pipeline: remote-tile
+// exchange, ownership-gated epochs and per-shard samplers. It runs twice,
+// inline and on a borrowed 3-worker pool (fewer workers than shards, so
+// the ingest thread trains a shard too); both must give the recorded bits.
+// Same per-backend and FP-contraction rules as above.
+TEST(ShardOnlineActorTest, FourShardPipelineMatchesRecordedDigests) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "digests are recorded without FP contraction";
+#endif
+  struct Golden {
+    VecBackend backend;
+    PipelineDigest digest;
+  };
+  const Golden goldens[] = {
+      {VecBackend::kScalar, {0xfb4f178da8d21551ull, 0x63912c190d6662d0ull}},
+      {VecBackend::kRelaxed, {0xfb4f178da8d21551ull, 0x63912c190d6662d0ull}},
+      {VecBackend::kAvx2, {0x5cb9e6181f101816ull, 0xd1cb8af693171538ull}},
+  };
+  ThreadPool pool(3);
+  OnlineActorOptions inline_opts = FastOptions();
+  inline_opts.num_shards = 4;
+  OnlineActorOptions pooled_opts = inline_opts;
+  pooled_opts.num_threads = 3;
+  pooled_opts.pool = &pool;
+  const VecBackend original = ActiveVecBackend();
+  int checked = 0;
+  for (const Golden& golden : goldens) {
+    if (SetVecBackend(golden.backend) != golden.backend) continue;
+    for (const OnlineActorOptions* options : {&inline_opts, &pooled_opts}) {
+      SCOPED_TRACE(options->num_threads);
+      const PipelineDigest digest = DigestPipeline(*options);
+      EXPECT_EQ(digest.center, golden.digest.center)
+          << VecBackendName(golden.backend) << " center digest";
+      EXPECT_EQ(digest.topk, golden.digest.topk)
+          << VecBackendName(golden.backend) << " top-k digest";
+    }
     ++checked;
   }
   SetVecBackend(original);

@@ -135,13 +135,25 @@ ShardMap ParityMap(int n) {
   return map;
 }
 
+/// One ingest batch step of every replica: decay by `factor`, then the
+/// batch edges each shard owns an endpoint of.
+void ApplyToAllShards(ShardedEdgeStore& store, double factor,
+                      const std::vector<BatchEdge>& batch,
+                      const ShardMap& map) {
+  for (int s = 0; s < store.num_shards(); ++s) {
+    store.ApplyBatch(s, factor, batch, map);
+  }
+}
+
 TEST(ShardedEdgeStoreTest, CrossShardEdgesReplicateToBothOwners) {
   ShardMap map = ParityMap(10);
   ShardedEdgeStore store;
   store.Reset(2, 0.01);
-  store.Accumulate(0, 2, map);  // within shard 0
-  store.Accumulate(1, 3, map);  // within shard 1
-  store.Accumulate(0, 1, map);  // cross-shard: replicated to both
+  ApplyToAllShards(store, 1.0,
+                   {{0, 2},   // within shard 0
+                    {1, 3},   // within shard 1
+                    {0, 1}},  // cross-shard: replicated to both
+                   map);
   EXPECT_EQ(store.shard(0).size(), 2u);  // {0,2} and {0,1}
   EXPECT_EQ(store.shard(1).size(), 2u);  // {1,3} and {0,1}
   // Replicas counted once: 3 distinct undirected edges.
@@ -152,19 +164,31 @@ TEST(ShardedEdgeStoreTest, ReplicasDecayAndDropInLockstep) {
   ShardMap map = ParityMap(4);
   ShardedEdgeStore store;
   store.Reset(2, 0.5);
-  store.Accumulate(0, 1, map, 1.0);  // cross-shard, weight 1.0
+  ApplyToAllShards(store, 1.0, {{0, 1}}, map);  // cross-shard, weight 1.0
   EXPECT_FALSE(store.empty());
   // One decay tick to 0.6: both replicas still alive.
-  store.Decay(0.6);
+  ApplyToAllShards(store, 0.6, {}, map);
   EXPECT_EQ(store.shard(0).size(), 1u);
   EXPECT_EQ(store.shard(1).size(), 1u);
   // Next tick pushes 0.6 -> 0.36 below min_weight on both replicas at
   // once — the identical-history property that keeps them consistent.
-  store.Decay(0.6);
+  ApplyToAllShards(store, 0.6, {}, map);
   EXPECT_EQ(store.shard(0).size(), 0u);
   EXPECT_EQ(store.shard(1).size(), 0u);
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.SizeUnique(map), 0u);
+}
+
+TEST(ShardedEdgeStoreTest, ApplyBatchDecaysBeforeAccumulating) {
+  ShardMap map = ParityMap(4);
+  ShardedEdgeStore store;
+  store.Reset(2, 0.01);
+  ApplyToAllShards(store, 1.0, {{0, 2}}, map);
+  // Decay 0.5 then +1: the batch's own co-occurrence carries full weight.
+  store.ApplyBatch(0, 0.5, {{0, 2}, {1, 3}}, map);
+  ASSERT_EQ(store.shard(0).size(), 1u);  // {1,3} belongs to shard 1 only
+  EXPECT_DOUBLE_EQ(store.shard(0).EdgeWeight(0, 2), 1.5);
+  EXPECT_EQ(store.shard(1).size(), 0u);  // shard 1 not stepped yet
 }
 
 TEST(ShardedEdgeStoreTest, VersionSumsReplicas) {
@@ -172,11 +196,14 @@ TEST(ShardedEdgeStoreTest, VersionSumsReplicas) {
   ShardedEdgeStore store;
   store.Reset(2, 0.01);
   const uint64_t v0 = store.version();
-  store.Accumulate(0, 2, map);  // bumps shard 0 only
+  const uint64_t s1 = store.shard(1).version();
+  ApplyToAllShards(store, 1.0, {{0, 2}}, map);  // bumps shard 0 only
   const uint64_t v1 = store.version();
   EXPECT_GT(v1, v0);
-  store.Accumulate(0, 1, map);  // bumps both replicas
+  EXPECT_EQ(store.shard(1).version(), s1);
+  ApplyToAllShards(store, 1.0, {{0, 1}}, map);  // bumps both replicas
   EXPECT_GT(store.version(), v1);
+  EXPECT_GT(store.shard(1).version(), s1);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -105,6 +107,44 @@ TEST(ThreadPoolTest, ShardedRangeShardIdsAreDenseAndDistinct) {
   std::sort(shards.begin(), shards.end());
   ASSERT_EQ(shards.size(), 4u);
   for (int s = 0; s < 4; ++s) EXPECT_EQ(shards[s], s);
+}
+
+// The split is balanced: exactly min(n, workers) chunks whose sizes differ
+// by at most one, larger ones first — 4 items on 3 workers run as 2+1+1,
+// so no worker idles while another runs two items.
+TEST(ThreadPoolTest, ShardedRangeSplitsIntoBalancedChunksPerWorker) {
+  struct Case {
+    std::size_t workers;
+    std::size_t n;
+    std::vector<std::size_t> sizes;  // per shard id
+  };
+  const Case cases[] = {
+      {3, 4, {2, 1, 1}},
+      {4, 5, {2, 1, 1, 1}},
+      {4, 10, {3, 3, 2, 2}},
+      {3, 9, {3, 3, 3}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.n << " items on " << c.workers);
+    ThreadPool pool(c.workers);
+    std::mutex mu;
+    std::vector<std::tuple<int, std::size_t, std::size_t>> calls;
+    pool.ShardedRange(0, c.n, [&](int shard, std::size_t lo, std::size_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      calls.emplace_back(shard, lo, hi);
+    });
+    std::sort(calls.begin(), calls.end());
+    ASSERT_EQ(calls.size(), c.sizes.size());
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const auto [shard, lo, hi] = calls[i];
+      EXPECT_EQ(shard, static_cast<int>(i));
+      EXPECT_EQ(lo, next);  // contiguous, in shard order
+      EXPECT_EQ(hi - lo, c.sizes[i]);
+      next = hi;
+    }
+    EXPECT_EQ(next, c.n);
+  }
 }
 
 TEST(ThreadPoolTest, ManySmallTasksDrainCompletely) {
@@ -255,6 +295,65 @@ TEST(ShardRunnerTest, EmptyRangeRunsNothing) {
   ShardRunner pooled_runner(4, &pool);
   EXPECT_TRUE(RecordCalls(inline_runner, 0).empty());
   EXPECT_TRUE(RecordCalls(pooled_runner, 0).empty());
+}
+
+// --- ShardRunner::ParallelFor ----------------------------------------------
+
+TEST(ShardRunnerTest, ParallelForRunsInlineInOrder) {
+  ThreadPool four(4);
+  const ThreadId caller = std::this_thread::get_id();
+  ShardRunner no_pool(1, nullptr);
+  ShardRunner pool_ignored(1, &four);
+  for (ShardRunner* runner : {&no_pool, &pool_ignored}) {
+    std::vector<std::size_t> order;
+    runner->ParallelFor(5, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+}
+
+TEST(ShardRunnerTest, ParallelForCoversEveryItemOnce) {
+  ThreadPool pool(3);
+  ShardRunner runner(3, &pool);
+  for (std::size_t n : {0u, 1u, 2u, 4u, 7u, 50u}) {
+    SCOPED_TRACE(n);
+    std::vector<std::atomic<int>> hits(n);
+    runner.ParallelFor(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// A P-worker pool runs up to P + 1 items at once: the calling thread takes
+// one chunk. Every item here waits until all four have started, so the
+// call only returns if 4 items ran together on 3 workers plus the caller.
+TEST(ShardRunnerTest, ParallelForRunsOneMoreItemThanWorkersAtOnce) {
+  ThreadPool pool(3);
+  ShardRunner runner(3, &pool);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool all_together = true;
+  std::vector<ThreadId> threads;
+  runner.ParallelFor(4, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    threads.push_back(std::this_thread::get_id());
+    ++started;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(30),
+                     [&started] { return started == 4; })) {
+      all_together = false;
+    }
+  });
+  EXPECT_TRUE(all_together);
+  ASSERT_EQ(threads.size(), 4u);
+  EXPECT_NE(std::find(threads.begin(), threads.end(),
+                      std::this_thread::get_id()),
+            threads.end())
+      << "the calling thread ran no item";
+  std::sort(threads.begin(), threads.end());
+  EXPECT_EQ(std::unique(threads.begin(), threads.end()), threads.end());
 }
 
 }  // namespace
