@@ -99,10 +99,9 @@ PipelineDigest DigestPipeline(const OnlineActorOptions& options) {
 }
 
 // Pins the trained values of the single-shard pipeline. The digests were
-// recorded from the sample-split HOGWILD trainer this pipeline replaced
-// (its num_shards=0 and num_shards=1 modes gave the same bits), so any
-// change to the trainer's arithmetic, sampling order or seeding fails
-// here. Each kernel backend has its own digest; the relaxed kernels
+// recorded once noise candidates were listed in ascending global id, so
+// they no longer depend on a hash map's iteration order; any change to the
+// trainer's arithmetic, sampling order or seeding fails here. Each kernel backend has its own digest; the relaxed kernels
 // compute exactly what the scalar ones do. FP contraction (-march=native
 // on an FMA host fuses a*b+c) changes the bits, so such builds are not
 // covered.
@@ -115,9 +114,9 @@ TEST(ShardOnlineActorTest, DefaultPipelineMatchesRecordedDigests) {
     PipelineDigest digest;
   };
   const Golden goldens[] = {
-      {VecBackend::kScalar, {0xa5243f8a6a881693ull, 0xc40b48c78c42e36cull}},
-      {VecBackend::kRelaxed, {0xa5243f8a6a881693ull, 0xc40b48c78c42e36cull}},
-      {VecBackend::kAvx2, {0xd265b5814c965874ull, 0x8dff5337b7bbfd69ull}},
+      {VecBackend::kScalar, {0x555b6d53beffc9beull, 0x5fef3e14d4b99cb5ull}},
+      {VecBackend::kRelaxed, {0x555b6d53beffc9beull, 0x5fef3e14d4b99cb5ull}},
+      {VecBackend::kAvx2, {0xabdb4e60b96d3c6aull, 0x2a076d09953e578cull}},
   };
   const VecBackend original = ActiveVecBackend();
   int checked = 0;
@@ -150,9 +149,9 @@ TEST(ShardOnlineActorTest, FourShardPipelineMatchesRecordedDigests) {
     PipelineDigest digest;
   };
   const Golden goldens[] = {
-      {VecBackend::kScalar, {0xfb4f178da8d21551ull, 0x63912c190d6662d0ull}},
-      {VecBackend::kRelaxed, {0xfb4f178da8d21551ull, 0x63912c190d6662d0ull}},
-      {VecBackend::kAvx2, {0x5cb9e6181f101816ull, 0xd1cb8af693171538ull}},
+      {VecBackend::kScalar, {0x127e961ecbb04963ull, 0x498fdc9cbb7783aeull}},
+      {VecBackend::kRelaxed, {0x127e961ecbb04963ull, 0x498fdc9cbb7783aeull}},
+      {VecBackend::kAvx2, {0x2193a58f26c6e153ull, 0xd650a009dba2f02dull}},
   };
   ThreadPool pool(3);
   OnlineActorOptions inline_opts = FastOptions();
