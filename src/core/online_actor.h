@@ -62,15 +62,15 @@ struct OnlineActorOptions {
   /// Train user edge types (UT/UW/UL) as in ACTOR's inter structure.
   bool use_user_edges = true;
 
-  /// Worker threads for the per-batch re-embed phase. With
-  /// num_threads <= 1 the shards train one after another on the ingest
-  /// thread. With a pool of P workers the shards are split into
-  /// min(num_shards, P + 1) contiguous groups: the ingest thread trains
-  /// one group and the workers the others, so up to P + 1 shards train at
-  /// once (4 shards on a 3-worker pool all run together). Every shard
-  /// writes only shard-owned state, so the result is bit-identical either
-  /// way — parallelism comes from num_shards, not from splitting a shard's
-  /// sample budget.
+  /// Worker threads for the per-batch prepare and re-embed dispatches.
+  /// With num_threads <= 1 the shards prepare, then train, one after
+  /// another on the ingest thread. With a pool of P workers the shards are
+  /// split into min(num_shards, P + 1) contiguous groups: the ingest thread
+  /// runs one group and the workers the others, so up to P + 1 shards run
+  /// at once (4 shards on a 3-worker pool all run together). Every shard
+  /// writes only shard-owned state and neither dispatch allocates, so the
+  /// result is bit-identical either way — parallelism comes from
+  /// num_shards, not from splitting a shard's sample budget.
   int num_threads = 1;
   /// Externally-owned persistent worker pool (ShardRunner policy,
   /// util/thread_pool.h). When null and num_threads > 1 the actor creates
@@ -99,11 +99,14 @@ struct OnlineActorOptions {
 /// distribution but keep their vectors.
 ///
 /// Each Ingest() runs the three-step cycle described in docs/streaming.md:
-///   1. resolve: validate the batch, resolve its units and collect its
-///      co-occurrences into per-edge-type batch edge lists;
-///   2. prepare, one shard at a time on the ingest thread: decay the
-///      shard's replica stores and accumulate the batch edges it owns,
-///      rebuild its changed samplers, refresh its remote tiles;
+///   1. resolve, on the ingest thread: validate the batch, resolve its
+///      units and append each co-occurrence to the per-edge-type batch
+///      list of each of its one or two owner shards; then grow every
+///      shard's stores, samplers and tile slots for those lists;
+///   2. prepare: one ShardRunner::ParallelFor dispatch in which every
+///      shard decays its replica stores and accumulates its batch edges,
+///      rebuilds its changed samplers and refreshes its remote tiles, all
+///      in the capacity step 1 grew (nothing under the dispatch allocates);
 ///   3. train: one ShardRunner::ParallelFor dispatch in which every shard
 ///      runs its edge-type epochs back to back.
 /// Per-shard RNG streams derive from ShardSeed, and all row arithmetic
@@ -229,8 +232,11 @@ class OnlineActor {
   /// drawing exactly what a fresh table would) only when the store's
   /// relative distribution changed.
   struct NoiseTable {
+    // The first `size` entries are live; the vectors' length is the
+    // capacity GrowShard reserved (the shard's units of this type).
     std::vector<VertexId> candidates;
     std::vector<double> weights;  // degree^(3/4) scratch for rebuilds
+    std::size_t size = 0;
     AliasTable table;
     bool valid = false;
   };
@@ -254,13 +260,20 @@ class OnlineActor {
   /// Ingest step 1: resolves every record's units (spawning new ones) and
   /// fills batch_edges_ with the batch's co-occurrences in record order.
   void ResolveBatch(const std::vector<TokenizedRecord>& batch);
-  /// Appends {a, b} to its edge type's batch list; self-loops, invalid ids
-  /// and pairs with no edge type are dropped.
+  /// Appends {a, b} to its edge type's batch list of each distinct owner
+  /// shard; self-loops, invalid ids and pairs with no edge type are
+  /// dropped.
   void CollectEdge(VertexId a, VertexId b);
-  /// Ingest step 2 for shard `s` (ingest thread, may allocate): decays its
-  /// replica stores and accumulates the batch edges it owns, refreshes its
-  /// samplers, sizes its epochs (epoch_samples_[s]) and refreshes its
-  /// remote tiles.
+  /// End of ingest step 1 for shard `s` (ingest thread, the only step that
+  /// allocates): reserves its replica stores, edge and noise samplers for
+  /// its batch lists and the unit count, and gives tile slots to the
+  /// remote endpoints those lists bring.
+  void GrowShard(int s);
+  /// Ingest step 2 for shard `s`, on the shard pool: decays its replica
+  /// stores and accumulates its batch edges, refreshes its samplers, sizes
+  /// its epochs (epoch_samples_[s]) and refreshes its remote tiles.
+  /// Allocation-free: it writes only into what GrowShard reserved, and
+  /// only shard-s-owned state.
   Status PrepareShard(int s);
   /// Ingest step 3: one dispatch in which every shard runs its edge-type
   /// epochs back to back. Epoch (e, s) is seeded with ShardSeed(seed,
@@ -268,9 +281,10 @@ class OnlineActor {
   /// type e — all shards of earlier types and earlier batches.
   void TrainShards();
   /// Brings samplers_[e][s] up to date with edges_[e].shard(s) (no-op when
-  /// the store version matches — e.g. after pure-decay batches). Noise
-  /// candidates are filtered to shard-owned vertices, so negative draws
-  /// always resolve to writable local rows (a no-op filter at one shard).
+  /// the store version matches — e.g. after pure-decay batches), in the
+  /// storage GrowShard reserved. Noise candidates are the shard-owned
+  /// vertices with a live degree in ascending global id, so negative draws
+  /// always resolve to writable local rows (every vertex at one shard).
   Status RefreshSamplers(int e, int s);
   /// Shard `s`'s trainer epoch for edge type e: draws from the shard's own
   /// replica store, trains only orientations whose center endpoint it
@@ -326,9 +340,17 @@ class OnlineActor {
   // against its own replica store.
   ShardedEdgeStore edges_[kNumEdgeTypes];
   std::vector<SamplerCache> samplers_[kNumEdgeTypes];
-  /// The current batch's co-occurrences per edge type, in record order
-  /// (ResolveBatch fills them; capacity is kept across batches).
-  std::vector<BatchEdge> batch_edges_[kNumEdgeTypes];
+  /// Per shard, the current batch's co-occurrences with an endpoint it
+  /// owns, per edge type, in record order (ResolveBatch fills them;
+  /// capacity is kept across batches).
+  std::vector<std::array<std::vector<BatchEdge>, kNumEdgeTypes>>
+      batch_edges_;
+  /// ResolveBatch's per-record word units (capacity kept across records).
+  std::vector<VertexId> record_words_;
+  /// Per shard, its units of each vertex type — the noise tables' bound.
+  std::vector<std::array<std::size_t, kNumVertexTypes>> owned_units_;
+  /// Per shard, PrepareShard's result, joined after the prepare dispatch.
+  std::vector<Status> prepare_status_;
   /// Per shard, the SGD samples of each edge type's epoch this batch
   /// (PrepareShard sizes them; 0 = no epoch).
   std::vector<std::array<int64_t, kNumEdgeTypes>> epoch_samples_;
@@ -340,11 +362,12 @@ class OnlineActor {
   /// and by each shard's single-writer epoch (no merge needed), and
   /// cleared by PublishShardedSnapshot's per-shard deltas.
   std::vector<DirtyRowSet> owned_dirty_;
-  /// Per-shard read-only caches of remote vertices' context rows,
-  /// refreshed at prepare (PrepareShard).
+  /// Per-shard caches of remote vertices' context rows: slots added by
+  /// GrowShard, refreshed by PrepareShard.
   std::vector<RemoteTileCache> tiles_;
 
-  /// Dispatches the per-shard epochs (inline at num_threads <= 1).
+  /// Dispatches the per-shard prepare and epochs (inline at
+  /// num_threads <= 1).
   ShardRunner runner_;
 
   /// Atomic slot for the latest flat snapshot. unique_ptr because the

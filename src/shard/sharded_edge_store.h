@@ -35,8 +35,8 @@ struct BatchEdge {
 ///
 /// Replicas advance one shard at a time (ApplyBatch): a replica's state
 /// depends only on its own decay/accumulate history, so the shards of one
-/// batch may be stepped in any order, or interleaved with other shards'
-/// training, without changing a bit.
+/// batch may be stepped in any order, or concurrently, without changing a
+/// bit.
 class ShardedEdgeStore {
  public:
   ShardedEdgeStore() { stores_.resize(1); }
@@ -62,16 +62,14 @@ class ShardedEdgeStore {
 
   /// One batch step of shard `s`'s replica: uniform decay by `factor` (in
   /// (0, 1]; 1 is a no-op), then a unit-weight accumulate of every edge in
-  /// `batch` that has an endpoint shard `s` owns, in batch order. Stepping
-  /// every shard routes each edge into every distinct owner's replica.
-  void ApplyBatch(int s, double factor, const std::vector<BatchEdge>& batch,
-                  const ShardMap& map) {
+  /// `owned` — the batch edges with an endpoint shard `s` owns, in batch
+  /// order (the caller routes each edge to every distinct owner's list).
+  /// Allocation-free once shard(s).Reserve() made room for `owned`.
+  void ApplyBatch(int s, double factor, const std::vector<BatchEdge>& owned) {
     OnlineEdgeStore& store = shard(s);
     store.Decay(factor);
-    for (const BatchEdge& edge : batch) {
-      if (map.owner(edge.a) == s || map.owner(edge.b) == s) {
-        store.Accumulate(edge.a, edge.b);
-      }
+    for (const BatchEdge& edge : owned) {
+      store.Accumulate(edge.a, edge.b, 1.0);
     }
   }
 
@@ -98,9 +96,8 @@ class ShardedEdgeStore {
     std::size_t n = 0;
     for (int s = 0; s < num_shards(); ++s) {
       const OnlineEdgeStore& store = stores_[static_cast<std::size_t>(s)];
-      const std::vector<VertexId>& src = store.src();
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        if (map.owner(src[i]) == s) ++n;
+      for (const VertexId v : store.src()) {
+        if (map.owner(v) == s) ++n;
       }
     }
     return n;

@@ -124,13 +124,17 @@ TEST(ConcurrencyTsanTest, TrainSkipGramMultiThread) {
 }
 
 TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
-  // Streaming path: the shards train concurrently in one dispatch, the
-  // ingest thread among them, each writing only its own rows, dirty set
-  // and remote-tile copies while reading the shared edge stores and
-  // ownership map — TSan must see no race between them. Exercises decay,
-  // drops, remote-tile refreshes and incremental sampler rebuilds across
-  // batches. With kThreads + 1 shards on kThreads workers every executor,
-  // the ingest thread included, trains a shard at the same time.
+  // Streaming path: the shards prepare, then train, concurrently in two
+  // dispatches, the ingest thread among them. Prepare writes only the
+  // shard's replica stores, samplers and tile copies, reading other
+  // shards' context rows; training writes only its own rows, dirty set and
+  // tile copies while reading the shared edge stores and ownership map —
+  // TSan must see no race between them. Exercises decay, drops, tile
+  // refreshes and incremental sampler rebuilds across batches, a
+  // pure-decay tick, and a batch of new units mid-stream (pair-index
+  // growth and new tile slots before the prepare dispatch). With
+  // kThreads + 1 shards on kThreads workers every executor, the ingest
+  // thread included, runs a shard at the same time.
   SyntheticConfig config;
   config.seed = 11;
   config.num_records = 900;
@@ -151,6 +155,17 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
     batches[i * batches.size() / corpus->size()].push_back(
         corpus->record(i));
   }
+  // A pure-decay tick, then the first batch again with fresh users, words
+  // and far-away locations: every unit it brings is new.
+  batches.emplace_back();
+  std::vector<TokenizedRecord> fresh = batches[0];
+  for (TokenizedRecord& rec : fresh) {
+    rec.user_id += 1000;
+    for (int64_t& m : rec.mentioned_user_ids) m += 1000;
+    for (int32_t& w : rec.word_ids) w += 100000;
+    rec.location.x += 500.0;
+  }
+  batches.push_back(std::move(fresh));
 
   ThreadPool pool(kThreads);
   for (int shards : {kThreads, kThreads + 1}) {
@@ -163,9 +178,12 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
     options.pool = &pool;  // caller-owned persistent pool
     auto model = OnlineActor::Create(options);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
+    int32_t units = 0;
     for (const auto& batch : batches) {
+      units = model->num_units();
       ASSERT_TRUE(model->Ingest(batch).ok());
     }
+    EXPECT_GT(model->num_units(), units);  // the last batch spawned units
     EXPECT_GT(model->num_live_edges(), 0u);
     EXPECT_TRUE(AllFinite(model->GatherCenter()));
   }

@@ -135,13 +135,34 @@ ShardMap ParityMap(int n) {
   return map;
 }
 
-/// One ingest batch step of every replica: decay by `factor`, then the
-/// batch edges each shard owns an endpoint of.
+/// The edges of `batch` with an endpoint shard `s` owns, in batch order —
+/// the routing OnlineActor's resolve step does.
+std::vector<BatchEdge> OwnedEdges(const std::vector<BatchEdge>& batch,
+                                  const ShardMap& map, int s) {
+  std::vector<BatchEdge> owned;
+  for (const BatchEdge& edge : batch) {
+    if (map.owner(edge.a) == s || map.owner(edge.b) == s) {
+      owned.push_back(edge);
+    }
+  }
+  return owned;
+}
+
+/// One ingest batch step of shard `s`'s replica: grow it for its edges,
+/// then decay by `factor` and accumulate them.
+void ApplyToShard(ShardedEdgeStore& store, int s, double factor,
+                  const std::vector<BatchEdge>& batch, const ShardMap& map) {
+  const std::vector<BatchEdge> owned = OwnedEdges(batch, map, s);
+  store.shard(s).Reserve(owned.size(), map.num_vertices());
+  store.ApplyBatch(s, factor, owned);
+}
+
+/// One ingest batch step of every replica.
 void ApplyToAllShards(ShardedEdgeStore& store, double factor,
                       const std::vector<BatchEdge>& batch,
                       const ShardMap& map) {
   for (int s = 0; s < store.num_shards(); ++s) {
-    store.ApplyBatch(s, factor, batch, map);
+    ApplyToShard(store, s, factor, batch, map);
   }
 }
 
@@ -185,7 +206,7 @@ TEST(ShardedEdgeStoreTest, ApplyBatchDecaysBeforeAccumulating) {
   store.Reset(2, 0.01);
   ApplyToAllShards(store, 1.0, {{0, 2}}, map);
   // Decay 0.5 then +1: the batch's own co-occurrence carries full weight.
-  store.ApplyBatch(0, 0.5, {{0, 2}, {1, 3}}, map);
+  ApplyToShard(store, 0, 0.5, {{0, 2}, {1, 3}}, map);
   ASSERT_EQ(store.shard(0).size(), 1u);  // {1,3} belongs to shard 1 only
   EXPECT_DOUBLE_EQ(store.shard(0).EdgeWeight(0, 2), 1.5);
   EXPECT_EQ(store.shard(1).size(), 0u);  // shard 1 not stepped yet
