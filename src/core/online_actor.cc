@@ -153,13 +153,10 @@ VertexId OnlineActor::ResolveUser(int64_t user_id) {
   return unit;
 }
 
-void OnlineActor::CollectEdge(VertexId a, VertexId b) {
-  if (a == b || a == kInvalidVertex || b == kInvalidVertex) return;
-  auto type = EdgeTypeBetween(types_[a], types_[b]);
-  if (!type.ok()) return;
+void OnlineActor::CollectEdge(EdgeType type, VertexId a, VertexId b) {
   // Local-write replication: the edge goes to every distinct owner's
   // list, so a cross-shard edge lands in both owners' replica stores.
-  const std::size_t e = static_cast<std::size_t>(*type);
+  const std::size_t e = static_cast<std::size_t>(type);
   const int owner_a = map_.owner(a);
   const int owner_b = map_.owner(b);
   batch_edges_[static_cast<std::size_t>(owner_a)][e].push_back({a, b});
@@ -201,35 +198,25 @@ void OnlineActor::ResolveBatch(const std::vector<TokenizedRecord>& batch) {
   for (auto& lists : batch_edges_) {
     for (auto& edges : lists) edges.clear();
   }
-  std::vector<VertexId>& words = record_words_;
+  RecordUnits& units = record_units_;
   for (const TokenizedRecord& rec : batch) {
-    const VertexId t = ResolveTemporal(rec.timestamp);
-    const VertexId l = ResolveSpatial(rec.location);
-    words.clear();
-    for (int32_t w : rec.word_ids) words.push_back(ResolveWord(w));
-
-    CollectEdge(t, l);
-    for (VertexId w : words) {
-      CollectEdge(l, w);
-      CollectEdge(w, t);
+    // Resolution order fixes unit ids and row initialisation.
+    units.time_unit = ResolveTemporal(rec.timestamp);
+    units.location_unit = ResolveSpatial(rec.location);
+    units.word_units.clear();
+    for (int32_t w : rec.word_ids) units.word_units.push_back(ResolveWord(w));
+    units.author = ResolveUser(rec.user_id);
+    units.mentioned.clear();
+    for (int64_t m : rec.mentioned_user_ids) {
+      units.mentioned.push_back(ResolveUser(m));
     }
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      for (std::size_t j = i + 1; j < words.size(); ++j) {
-        CollectEdge(words[i], words[j]);
-      }
-    }
-    if (options_.use_user_edges) {
-      auto link_user = [&](int64_t user_id) {
-        const VertexId u = ResolveUser(user_id);
-        CollectEdge(u, t);
-        CollectEdge(u, l);
-        for (VertexId w : words) CollectEdge(u, w);
-      };
-      link_user(rec.user_id);
-      for (int64_t m : rec.mentioned_user_ids) {
-        link_user(m);
-        CollectEdge(ResolveUser(rec.user_id), ResolveUser(m));
-      }
+    ForEachRecordEdge(units, [this](EdgeType type, VertexId a, VertexId b) {
+      CollectEdge(type, a, b);
+    });
+    // Unlike the offline user graph, the activity stores also train the
+    // author-mention pairs (Def. 2) as their UU type.
+    for (const VertexId m : units.mentioned) {
+      if (m != units.author) CollectEdge(EdgeType::kUU, units.author, m);
     }
   }
 }

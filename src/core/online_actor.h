@@ -14,6 +14,7 @@
 #include "embedding/dirty_rows.h"
 #include "embedding/embedding_matrix.h"
 #include "graph/alias_table.h"
+#include "graph/graph_builder.h"
 #include "graph/types.h"
 #include "serve/model_snapshot.h"
 #include "shard/remote_tile_cache.h"
@@ -58,9 +59,6 @@ struct OnlineActorOptions {
   /// A record farther than this (circular hours) from every temporal
   /// hotspot spawns a new one.
   double new_temporal_hotspot_hours = 1.5;
-
-  /// Train user edge types (UT/UW/UL) as in ACTOR's inter structure.
-  bool use_user_edges = true;
 
   /// Worker threads for the per-batch prepare and re-embed dispatches.
   /// With num_threads <= 1 the shards prepare, then train, one after
@@ -136,6 +134,10 @@ class OnlineActor {
 
   int32_t num_units() const { return static_cast<int32_t>(types_.size()); }
   std::size_t num_live_edges() const;
+  /// The per-shard replica stores of one edge type (test/introspection).
+  const ShardedEdgeStore& edge_store(EdgeType type) const {
+    return edges_[static_cast<int>(type)];
+  }
   std::size_t num_spatial_hotspots() const {
     return resolver_.spatial_centers.size();
   }
@@ -258,12 +260,12 @@ class OnlineActor {
   VertexId ResolveUser(int64_t user_id);
 
   /// Ingest step 1: resolves every record's units (spawning new ones) and
-  /// fills batch_edges_ with the batch's co-occurrences in record order.
+  /// fills batch_edges_ with the batch's co-occurrences in record order:
+  /// each record's Def. 1 edges (ForEachRecordEdge), then its author-mention
+  /// UU pairs.
   void ResolveBatch(const std::vector<TokenizedRecord>& batch);
-  /// Appends {a, b} to its edge type's batch list of each distinct owner
-  /// shard; self-loops, invalid ids and pairs with no edge type are
-  /// dropped.
-  void CollectEdge(VertexId a, VertexId b);
+  /// Appends {a, b} to the `type` batch list of each distinct owner shard.
+  void CollectEdge(EdgeType type, VertexId a, VertexId b);
   /// End of ingest step 1 for shard `s` (ingest thread, the only step that
   /// allocates): reserves its replica stores, edge and noise samplers for
   /// its batch lists and the unit count, and gives tile slots to the
@@ -345,8 +347,9 @@ class OnlineActor {
   /// capacity is kept across batches).
   std::vector<std::array<std::vector<BatchEdge>, kNumEdgeTypes>>
       batch_edges_;
-  /// ResolveBatch's per-record word units (capacity kept across records).
-  std::vector<VertexId> record_words_;
+  /// ResolveBatch's units of the current record (capacity kept across
+  /// records).
+  RecordUnits record_units_;
   /// Per shard, its units of each vertex type — the noise tables' bound.
   std::vector<std::array<std::size_t, kNumVertexTypes>> owned_units_;
   /// Per shard, PrepareShard's result, joined after the prepare dispatch.

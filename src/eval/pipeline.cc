@@ -28,9 +28,8 @@ Result<PreparedDataset> PrepareDataset(const PipelineOptions& options,
   ACTOR_ASSIGN_OR_RETURN(Hotspots hotspots,
                          DetectHotspots(out.train, options.hotspots));
   out.hotspots = std::make_shared<const Hotspots>(std::move(hotspots));
-  ACTOR_ASSIGN_OR_RETURN(
-      BuiltGraphs graphs,
-      BuildGraphs(out.train, *out.hotspots, options.graph));
+  ACTOR_ASSIGN_OR_RETURN(BuiltGraphs graphs,
+                         BuildGraphs(out.train, *out.hotspots));
   out.graphs = std::make_shared<const BuiltGraphs>(std::move(graphs));
   out.vocab = std::make_shared<const Vocabulary>(out.full.vocab());
   return out;

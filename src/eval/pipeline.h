@@ -20,7 +20,6 @@ struct PipelineOptions {
   SyntheticConfig synthetic;
   CorpusBuildOptions corpus;
   HotspotOptions hotspots;
-  GraphBuildOptions graph;
   /// Validation / test fractions of the tokenized corpus.
   double valid_fraction = 0.05;
   double test_fraction = 0.10;

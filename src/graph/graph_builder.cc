@@ -1,27 +1,12 @@
 #include "graph/graph_builder.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace actor {
-namespace {
-
-/// Adds weight to {u, v} unless they coincide or either is invalid.
-Status AccumulateIfDistinct(Heterograph* g, VertexId u, VertexId v,
-                            double w = 1.0) {
-  if (u == kInvalidVertex || v == kInvalidVertex || u == v) {
-    return Status::OK();
-  }
-  return g->AccumulateEdge(u, v, w);
-}
-
-}  // namespace
 
 Result<BuiltGraphs> BuildGraphs(const TokenizedCorpus& corpus,
-                                const Hotspots& hotspots,
-                                const GraphBuildOptions& options) {
+                                const Hotspots& hotspots) {
   if (corpus.empty()) {
     return Status::InvalidArgument("cannot build graphs from empty corpus");
   }
@@ -85,55 +70,20 @@ Result<BuiltGraphs> BuildGraphs(const TokenizedCorpus& corpus,
       units.mentioned.push_back(activity_user(m));
     }
 
-    // Intra-record co-occurrence edges: TL, LW, WT (Def. 1).
-    ACTOR_RETURN_NOT_OK(AccumulateIfDistinct(&out.activity, units.time_unit,
-                                             units.location_unit));
-    for (VertexId w : units.word_units) {
-      ACTOR_RETURN_NOT_OK(
-          AccumulateIfDistinct(&out.activity, units.location_unit, w));
-      ACTOR_RETURN_NOT_OK(
-          AccumulateIfDistinct(&out.activity, w, units.time_unit));
-    }
-    // WW pairs.
-    if (options.include_word_pair_edges) {
-      const std::size_t n = std::min<std::size_t>(
-          units.word_units.size(),
-          static_cast<std::size_t>(options.max_words_for_pairs));
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          ACTOR_RETURN_NOT_OK(AccumulateIfDistinct(
-              &out.activity, units.word_units[i], units.word_units[j]));
-        }
-      }
-    }
-
-    // User -> unit edges (the substrate of M_inter = {UT, UW, UL}).
-    auto add_user_edges = [&](VertexId user_vertex) -> Status {
-      ACTOR_RETURN_NOT_OK(
-          AccumulateIfDistinct(&out.activity, user_vertex, units.time_unit));
-      ACTOR_RETURN_NOT_OK(AccumulateIfDistinct(&out.activity, user_vertex,
-                                               units.location_unit));
-      for (VertexId w : units.word_units) {
-        ACTOR_RETURN_NOT_OK(AccumulateIfDistinct(&out.activity, user_vertex, w));
-      }
-      return Status::OK();
-    };
-    if (options.include_author_edges) {
-      ACTOR_RETURN_NOT_OK(add_user_edges(units.author));
-    }
-    if (options.include_mention_edges) {
-      for (VertexId m : units.mentioned) {
-        ACTOR_RETURN_NOT_OK(add_user_edges(m));
-      }
-    }
+    // Activity graph: the record's Def. 1 co-occurrence edges.
+    Status status;
+    ForEachRecordEdge(units, [&](EdgeType, VertexId a, VertexId b) {
+      if (status.ok()) status = out.activity.AccumulateEdge(a, b);
+    });
+    ACTOR_RETURN_NOT_OK(status);
 
     // User interaction graph: author mentioned each user once per record
     // ("the edge weight is set to be the mentioned counts", Def. 2).
     const VertexId author_iv = interaction_user(rec.user_id);
     for (int64_t m : rec.mentioned_user_ids) {
       const VertexId target_iv = interaction_user(m);
-      ACTOR_RETURN_NOT_OK(
-          AccumulateIfDistinct(&out.user_graph, author_iv, target_iv));
+      if (target_iv == author_iv) continue;
+      ACTOR_RETURN_NOT_OK(out.user_graph.AccumulateEdge(author_iv, target_iv));
     }
 
     out.record_units.push_back(std::move(units));

@@ -1,31 +1,19 @@
 #ifndef ACTOR_GRAPH_GRAPH_BUILDER_H_
 #define ACTOR_GRAPH_GRAPH_BUILDER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "data/corpus.h"
 #include "graph/heterograph.h"
+#include "graph/types.h"
 #include "hotspot/hotspot_detector.h"
 #include "util/result.h"
 
 namespace actor {
-
-/// Options for activity / user-graph construction (paper §4.1, Algorithm 1
-/// line 2).
-struct GraphBuildOptions {
-  /// Create UT/UW/UL edges from a record's author to its units.
-  bool include_author_edges = true;
-  /// Create UT/UW/UL edges from each @-mentioned user to the record's
-  /// units. These are the edges the inter-record meta-graphs M1-M6 pass
-  /// through (a mentioned user links another record's units to their own).
-  bool include_mention_edges = true;
-  /// Create pairwise WW edges among a record's keywords.
-  bool include_word_pair_edges = true;
-  /// Cap on keywords per record used for WW pairs (quadratic guard).
-  int max_words_for_pairs = 30;
-};
 
 /// The vertex ids of one record's units in the activity graph.
 struct RecordUnits {
@@ -35,6 +23,41 @@ struct RecordUnits {
   VertexId author = kInvalidVertex;          // user vertex in activity graph
   std::vector<VertexId> mentioned;           // user vertices
 };
+
+/// WW pairs come from a record's first this-many words (quadratic guard).
+inline constexpr std::size_t kMaxWordsForPairs = 30;
+
+/// The record -> edge rule of paper Def. 1, shared by BuildGraphs and
+/// OnlineActor: calls fn(type, a, b) once per co-occurrence of `units`, in
+/// this order: TL; LW and WT for each word; WW among the first
+/// kMaxWordsForPairs words; then UT, UL and UW for the author and for each
+/// mentioned user (the substrate of M_inter). Self-loops (a repeated word)
+/// and invalid ids are skipped. The author-mention UU pair is Def. 2 and
+/// stays with the caller.
+template <typename Fn>
+void ForEachRecordEdge(const RecordUnits& units, Fn&& fn) {
+  auto emit = [&fn](EdgeType type, VertexId a, VertexId b) {
+    if (a != b && a != kInvalidVertex && b != kInvalidVertex) fn(type, a, b);
+  };
+  emit(EdgeType::kTL, units.time_unit, units.location_unit);
+  for (const VertexId w : units.word_units) {
+    emit(EdgeType::kLW, units.location_unit, w);
+    emit(EdgeType::kWT, w, units.time_unit);
+  }
+  const std::size_t n = std::min(units.word_units.size(), kMaxWordsForPairs);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      emit(EdgeType::kWW, units.word_units[i], units.word_units[j]);
+    }
+  }
+  auto user_edges = [&](VertexId user) {
+    emit(EdgeType::kUT, user, units.time_unit);
+    emit(EdgeType::kUL, user, units.location_unit);
+    for (const VertexId w : units.word_units) emit(EdgeType::kUW, user, w);
+  };
+  user_edges(units.author);
+  for (const VertexId m : units.mentioned) user_edges(m);
+}
 
 /// Output of graph construction: the two graph layers plus lookup tables.
 struct BuiltGraphs {
@@ -61,8 +84,7 @@ struct BuiltGraphs {
 /// co-occurrence counts (activity graph) and mention counts (user graph).
 /// Both graphs are returned finalized.
 Result<BuiltGraphs> BuildGraphs(const TokenizedCorpus& corpus,
-                                const Hotspots& hotspots,
-                                const GraphBuildOptions& options = {});
+                                const Hotspots& hotspots);
 
 }  // namespace actor
 

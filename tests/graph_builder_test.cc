@@ -35,7 +35,7 @@ struct BuiltFixture {
   BuiltGraphs graphs;
 };
 
-BuiltFixture BuildFig1(const GraphBuildOptions& options = {}) {
+BuiltFixture BuildFig1() {
   CorpusBuildOptions build;
   build.min_word_count = 1;
   auto corpus = TokenizedCorpus::Build(Fig1Corpus(), build);
@@ -47,7 +47,7 @@ BuiltFixture BuildFig1(const GraphBuildOptions& options = {}) {
   hs.temporal.merge_radius = 0.5;
   auto hotspots = DetectHotspots(*corpus, hs);
   EXPECT_TRUE(hotspots.ok()) << hotspots.status().ToString();
-  auto graphs = BuildGraphs(*corpus, *hotspots, options);
+  auto graphs = BuildGraphs(*corpus, *hotspots);
   EXPECT_TRUE(graphs.ok()) << graphs.status().ToString();
   BuiltFixture f{corpus.MoveValueOrDie(), hotspots.MoveValueOrDie(),
                  graphs.MoveValueOrDie()};
@@ -143,36 +143,6 @@ TEST(GraphBuilderTest, RepeatedMentionsAccumulate) {
   const VertexId a = graphs->interaction_users.at(100);
   const VertexId b = graphs->interaction_users.at(200);
   EXPECT_DOUBLE_EQ(graphs->user_graph.EdgeWeight(a, b), 2.0);
-}
-
-TEST(GraphBuilderTest, MentionEdgesCanBeDisabled) {
-  GraphBuildOptions options;
-  options.include_mention_edges = false;
-  BuiltFixture f = BuildFig1(options);
-  const auto& units1 = f.graphs.record_units[1];
-  const VertexId user_a = f.graphs.activity_users.at(100);
-  EXPECT_DOUBLE_EQ(
-      f.graphs.activity.EdgeWeight(user_a, units1.time_unit), 0.0);
-  // The user interaction graph is still built.
-  EXPECT_EQ(f.graphs.user_graph.edges(EdgeType::kUU).size(), 2u);
-}
-
-TEST(GraphBuilderTest, AuthorEdgesCanBeDisabled) {
-  GraphBuildOptions options;
-  options.include_author_edges = false;
-  options.include_mention_edges = false;
-  BuiltFixture f = BuildFig1(options);
-  EXPECT_EQ(f.graphs.activity.edges(EdgeType::kUT).size(), 0u);
-  EXPECT_EQ(f.graphs.activity.edges(EdgeType::kUW).size(), 0u);
-  EXPECT_EQ(f.graphs.activity.edges(EdgeType::kUL).size(), 0u);
-}
-
-TEST(GraphBuilderTest, WordPairEdgesCanBeDisabled) {
-  GraphBuildOptions options;
-  options.include_word_pair_edges = false;
-  BuiltFixture f = BuildFig1(options);
-  EXPECT_EQ(f.graphs.activity.edges(EdgeType::kWW).size(), 0u);
-  EXPECT_GT(f.graphs.activity.edges(EdgeType::kLW).size(), 0u);
 }
 
 TEST(GraphBuilderTest, WordVerticesAlignWithVocabulary) {
