@@ -1,5 +1,6 @@
 #include "embedding/embedding_matrix.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -38,7 +39,7 @@ EmbeddingMatrix::Allocate(std::size_t rows, std::size_t stride) {
 }
 
 EmbeddingMatrix::EmbeddingMatrix(int32_t rows, int32_t dim)
-    : rows_(rows), dim_(dim), stride_(PaddedStride(dim)) {
+    : rows_(rows), capacity_(rows), dim_(dim), stride_(PaddedStride(dim)) {
   ACTOR_DCHECK(rows >= 0 && dim >= 0) << rows << "x" << dim;
   data_ = Allocate(static_cast<std::size_t>(rows), stride_);
   ACTOR_DCHECK(reinterpret_cast<std::uintptr_t>(data_.get()) %
@@ -105,12 +106,15 @@ void EmbeddingMatrix::AppendRows(int32_t n, Rng* rng) {
   if (n <= 0) return;
   const int32_t old_rows = rows_;
   rows_ += n;
-  auto grown = Allocate(static_cast<std::size_t>(rows_), stride_);
-  if (data_ != nullptr) {
-    std::memcpy(grown.get(), data_.get(),
-                static_cast<std::size_t>(old_rows) * stride_ * sizeof(float));
+  if (rows_ > capacity_ || data_ == nullptr) {
+    capacity_ = std::max(rows_, 2 * capacity_);
+    auto grown = Allocate(static_cast<std::size_t>(capacity_), stride_);
+    if (data_ != nullptr) {
+      std::memcpy(grown.get(), data_.get(),
+                  static_cast<std::size_t>(old_rows) * stride_ * sizeof(float));
+    }
+    data_ = std::move(grown);
   }
-  data_ = std::move(grown);
   if (rng != nullptr && dim_ > 0) {
     const float scale = 1.0f / static_cast<float>(dim_);
     for (int32_t r = old_rows; r < rows_; ++r) {

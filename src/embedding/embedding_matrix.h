@@ -73,7 +73,9 @@ class EmbeddingMatrix {
 
   /// Appends `n` rows initialized word2vec-style (U(-0.5/dim, 0.5/dim))
   /// when `rng` is given, or zero otherwise. Used by the streaming
-  /// extension when new units appear mid-stream.
+  /// extension when new units appear mid-stream. Capacity grows
+  /// geometrically, so N one-row appends reallocate O(log N) times; a
+  /// reallocation moves every row (row pointers do not survive it).
   void AppendRows(int32_t n, Rng* rng = nullptr);
 
   /// Text serialization: header "rows dim", then one row per line.
@@ -91,6 +93,7 @@ class EmbeddingMatrix {
                                                         std::size_t stride);
 
   int32_t rows_ = 0;
+  int32_t capacity_ = 0;  // rows the buffer holds; rows past rows_ are zero
   int32_t dim_ = 0;
   std::size_t stride_ = 0;
   std::unique_ptr<float[], FreeDeleter> data_;

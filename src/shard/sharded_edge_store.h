@@ -69,7 +69,7 @@ class ShardedEdgeStore {
     OnlineEdgeStore& store = shard(s);
     store.Decay(factor);
     for (const BatchEdge& edge : owned) {
-      store.Accumulate(edge.a, edge.b, 1.0);
+      store.Accumulate(edge.a, edge.b);
     }
   }
 

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "data/synthetic.h"
+#include "data/vocabulary.h"
 #include "eval/mrr.h"
+#include "graph/graph_builder.h"
+#include "hotspot/hotspot_detector.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace actor {
@@ -207,6 +216,146 @@ TEST(OnlineActorTest, WordsAndUsersDeduplicated) {
   EXPECT_EQ(model->num_units(), 5);
   EXPECT_NE(model->WordUnit(3), kInvalidVertex);
   EXPECT_EQ(model->WordUnit(99), kInvalidVertex);
+}
+
+TEST(OnlineActorTest, RecordEdgesMatchTheOfflineBuilder) {
+  // Offline and online share one Def. 1 rule (ForEachRecordEdge): on one
+  // record with 40 distinct words and two mentions, both keep the WW pairs
+  // of the first 30 words only, and online adds nothing but the distinct
+  // author-mention UU pairs, which offline keeps in its user graph.
+  Vocabulary vocab;
+  TokenizedRecord rec;
+  rec.user_id = 7;
+  rec.timestamp = 10.5 * 3600.0;
+  rec.location = {3.0, 4.0};
+  for (int w = 0; w < 40; ++w) {
+    rec.word_ids.push_back(vocab.AddOccurrence(StrPrintf("word%d", w)));
+  }
+  rec.mentioned_user_ids = {8, 9};
+  const TokenizedCorpus corpus(vocab, {rec});
+  auto hotspots = DetectHotspots(corpus);
+  ASSERT_TRUE(hotspots.ok()) << hotspots.status().ToString();
+  auto graphs = BuildGraphs(corpus, *hotspots);
+  ASSERT_TRUE(graphs.ok()) << graphs.status().ToString();
+  const Heterograph& offline = graphs->activity;
+  EXPECT_EQ(offline.edges(EdgeType::kWW).size(), 2u * 435u);  // directed
+
+  OnlineActorOptions o = FastOptions();
+  o.decay_per_batch = 1.0;
+  auto model = OnlineActor::Create(o);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(model->Ingest({rec}).ok());
+
+  // Offline vertex -> online unit, by role.
+  const RecordUnits& units = graphs->record_units[0];
+  std::map<VertexId, VertexId> to_online = {
+      {units.time_unit, model->TemporalUnit(rec.timestamp)},
+      {units.location_unit, model->SpatialUnit(rec.location)}};
+  for (std::size_t i = 0; i < rec.word_ids.size(); ++i) {
+    to_online[units.word_units[i]] = model->WordUnit(rec.word_ids[i]);
+  }
+  for (VertexId v = 0; v < model->num_units(); ++v) {
+    if (model->unit_type(v) != VertexType::kUser) continue;
+    const int64_t id = std::stoll(model->unit_name(v).substr(4));  // "user<id>"
+    to_online[graphs->activity_users.at(id)] = v;
+  }
+  ASSERT_EQ(to_online.size(), 1u + 1u + 40u + 3u);
+
+  using Edges = std::map<std::pair<VertexId, VertexId>, double>;
+  auto key = [](VertexId a, VertexId b) {
+    return std::make_pair(std::min(a, b), std::max(a, b));
+  };
+  std::size_t def1_edges = 0;
+  for (int e = 0; e < kNumEdgeTypes; ++e) {
+    const EdgeType type = static_cast<EdgeType>(e);
+    Edges want;
+    const Heterograph::DirectedEdges& directed = offline.edges(type);
+    for (std::size_t i = 0; i < directed.size(); ++i) {
+      want[key(to_online.at(directed.src[i]), to_online.at(directed.dst[i]))] =
+          directed.weight[i];
+    }
+    if (type == EdgeType::kUU) {
+      ASSERT_TRUE(want.empty());
+      for (const int64_t m : rec.mentioned_user_ids) {
+        want[key(to_online.at(units.author),
+                 to_online.at(graphs->activity_users.at(m)))] = 1.0;
+      }
+    } else {
+      def1_edges += want.size();
+    }
+    const OnlineEdgeStore& store = model->edge_store(type).shard(0);
+    Edges got;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      got[key(store.src()[i], store.dst()[i])] = store.weight(i);
+    }
+    EXPECT_EQ(got, want) << EdgeTypeName(type);
+  }
+  EXPECT_EQ(model->edge_store(EdgeType::kWW).shard(0).size(), 435u);
+  EXPECT_EQ(model->num_live_edges(), def1_edges + 2u);
+}
+
+TEST(OnlineActorTest, HostileStreamKeepsStateBounded) {
+  // A 2,000-word record, wordless records, one location repeated and a
+  // new user per record. Live edges stay within the per-record Def. 1
+  // bound (linear in a record's words past the WW cap), units grow only
+  // by the new units, and every replica store stays consistent.
+  for (const int shards : {1, 4}) {
+    OnlineActorOptions o = FastOptions();
+    o.decay_per_batch = 1.0;  // nothing fades, so growth is at its worst
+    o.samples_per_edge_per_batch = 0.05;
+    o.num_shards = shards;
+    auto model = OnlineActor::Create(o);
+    ASSERT_TRUE(model.ok());
+    int64_t next_user = 1;
+    std::set<int32_t> words;
+    std::set<int64_t> users;
+    std::size_t edge_bound = 0;
+    auto record = [&](int32_t first_word, int32_t num_words,
+                      std::vector<int64_t> mentions) {
+      TokenizedRecord r;
+      r.user_id = next_user++;
+      r.timestamp = 9.0 * 3600.0;
+      r.location = {1.0, 1.0};
+      for (int32_t w = 0; w < num_words; ++w) {
+        r.word_ids.push_back(first_word + w);
+      }
+      r.mentioned_user_ids = std::move(mentions);
+      return r;
+    };
+    std::vector<std::vector<TokenizedRecord>> batches(4);
+    batches[0].push_back(record(0, 2000, {}));
+    for (int i = 0; i < 50; ++i) batches[1].push_back(record(0, 0, {}));
+    for (int i = 0; i < 50; ++i) {
+      batches[2].push_back(record(3000 + i % 7, 3, {next_user - 1}));
+    }
+    batches[3].push_back(record(2000, 2000, {1, 2}));
+    for (const auto& batch : batches) {
+      for (const TokenizedRecord& r : batch) {
+        words.insert(r.word_ids.begin(), r.word_ids.end());
+        users.insert(r.user_id);
+        users.insert(r.mentioned_user_ids.begin(), r.mentioned_user_ids.end());
+        // TL + LW/WT + capped WW + user edges of author and mentions + UU.
+        const std::size_t w = r.word_ids.size();
+        const std::size_t m = r.mentioned_user_ids.size();
+        const std::size_t paired = std::min(w, kMaxWordsForPairs);
+        edge_bound += 1 + 2 * w + paired * (paired - 1) / 2 +
+                      (1 + m) * (2 + w) + m;
+      }
+      ASSERT_TRUE(model->Ingest(batch).ok());
+      EXPECT_LE(model->num_live_edges(), edge_bound) << shards << " shards";
+      EXPECT_EQ(model->num_spatial_hotspots(), 1u);
+      EXPECT_EQ(model->num_temporal_hotspots(), 1u);
+      EXPECT_EQ(static_cast<std::size_t>(model->num_units()),
+                words.size() + users.size() + 2u);
+      for (int e = 0; e < kNumEdgeTypes; ++e) {
+        const ShardedEdgeStore& store =
+            model->edge_store(static_cast<EdgeType>(e));
+        for (int s = 0; s < shards; ++s) {
+          EXPECT_TRUE(store.shard(s).DebugCheckConsistent());
+        }
+      }
+    }
+  }
 }
 
 TEST(OnlineActorTest, DecayDropsStaleEdges) {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 namespace actor {
 namespace {
@@ -112,6 +113,38 @@ TEST(EmbeddingMatrixTest, AppendRowsPreservesAlignmentAndData) {
     const auto addr = reinterpret_cast<std::uintptr_t>(m.row(r));
     EXPECT_EQ(addr % EmbeddingMatrix::kRowAlignment, 0u);
   }
+}
+
+TEST(EmbeddingMatrixTest, OneRowAppendsReallocateLogarithmically) {
+  // The streaming actor appends one row per new unit. Each append keeps
+  // every earlier row bit-equal, draws the same init stream as one bulk
+  // append, and only O(log N) of them move the buffer.
+  constexpr int kRows = 1000;
+  Rng bulk_rng(7);
+  EmbeddingMatrix bulk(0, 5);
+  bulk.AppendRows(kRows, &bulk_rng);
+  Rng rng(7);
+  EmbeddingMatrix m(0, 5);
+  const float* base = nullptr;
+  int reallocations = 0;
+  for (int n = 1; n <= kRows; ++n) {
+    m.AppendRows(1, &rng);
+    ASSERT_EQ(m.rows(), n);
+    if (m.row(0) != base) {
+      ++reallocations;
+      base = m.row(0);
+    }
+    for (int r = 0; r < n; ++r) {
+      ASSERT_EQ(std::memcmp(m.row(r), bulk.row(r), m.stride() * sizeof(float)),
+                0)
+          << "row " << r << " after " << n << " appends";
+    }
+  }
+  EXPECT_LE(reallocations, 11);  // 1 + ceil(log2(1000))
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.row(0)) %
+                EmbeddingMatrix::kRowAlignment,
+            0u);
+  EXPECT_TRUE(m.DebugValidate());
 }
 
 TEST(EmbeddingMatrixTest, SaveLoadRoundTripPaddedDim) {

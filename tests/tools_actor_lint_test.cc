@@ -515,6 +515,79 @@ TEST(CallGraphHogwild, MemberCallReachesOnlyTheMethod) {
   EXPECT_EQ(findings[0].line, 3);
 }
 
+// A default declared only on the header prototype: the out-of-line
+// definition alone needs three arguments, the call passes two.
+const std::vector<FileEntry> kHeaderDefaultFiles = {
+    {"src/embedding/store.h",
+     "struct Store {\n"
+     "  void Accumulate(int a, int b, double w = 1.0);\n"
+     "};\n"},
+    {"src/embedding/store.cc",
+     "void Store::Accumulate(int a, int b, double w) {\n"
+     "  std::vector<float> tmp(8);\n"
+     "}\n"},
+    {"src/embedding/x.cc",
+     "void f(Store& s) {\n"
+     "  pool->ShardedRange(0, n, [&](int i) {\n"
+     "    s.Accumulate(1, 2);\n"
+     "  });\n"
+     "}\n"}};
+
+TEST(CallGraphHogwild, HeaderDefaultReachesTheOutOfLineDefinition) {
+  const auto findings = Lint(kHeaderDefaultFiles);
+  ASSERT_EQ(CountRule(findings, kRuleHotPath), 1);
+  EXPECT_EQ(findings[0].file, "src/embedding/store.cc");
+  EXPECT_EQ(findings[0].line, 2);
+
+  // The call-graph edge f -> Store::Accumulate exists.
+  const std::string dot = DumpCallGraph(kHeaderDefaultFiles);
+  auto node_of = [&](const std::string& label) {
+    const std::size_t at = dot.find("[label=\"" + label + "\\n");
+    EXPECT_NE(at, std::string::npos) << label;
+    const std::size_t begin = dot.rfind('n', at);
+    return dot.substr(begin, at - 1 - begin);
+  };
+  EXPECT_NE(dot.find(node_of("f") + " -> " + node_of("Store::Accumulate") +
+                     ";"),
+            std::string::npos)
+      << dot;
+}
+
+TEST(CallGraphHogwild, HeaderDefaultSurvivesTheSymbolCache) {
+  namespace fs = std::filesystem;
+  const fs::path cache = fs::temp_directory_path() / "actor_lint_decl_test";
+  fs::remove(cache);
+  LintConfig config;
+  config.compile_headers = false;
+  config.symbol_cache_path = cache.string();
+  EXPECT_EQ(CountRule(LintRepo(kHeaderDefaultFiles, config), kRuleHotPath),
+            1);
+  // Second run: every file's symbols, declarations included, come from
+  // the cache.
+  EXPECT_EQ(CountRule(LintRepo(kHeaderDefaultFiles, config), kRuleHotPath),
+            1);
+  fs::remove(cache);
+}
+
+TEST(CallGraphHogwild, CallWithDefaultedArgumentInABodyIsNoDeclaration) {
+  // `return Step(m, k = 1);` inside a body is a call; it must not let
+  // the one-argument call below reach the two-parameter Step.
+  const auto findings = Lint({{"src/embedding/x.cc",
+                              "int Step(M& m, int k) {\n"
+                              "  m.row(u)[0] += 1.0f;\n"
+                              "  return k;\n"
+                              "}\n"
+                              "int g(M& m, int k) {\n"
+                              "  return Step(m, k = 1);\n"
+                              "}\n"
+                              "void f(M& m) {\n"
+                              "  pool->ShardedRange(0, n, [&](int s) {\n"
+                              "    Step(m);\n"
+                              "  });\n"
+                              "}\n"}});
+  EXPECT_EQ(CountRule(findings, kRuleHogwild), 0);
+}
+
 TEST(CallGraphHogwild, RecursionTerminates) {
   const auto findings = Lint({{"src/embedding/x.cc",
                               "void Walk(M& m, int d) {\n"

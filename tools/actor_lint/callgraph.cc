@@ -65,6 +65,25 @@ CallGraph::CallGraph(const std::vector<LexedFile>* files,
     }
   }
   aliases_ = CollectAliases(*files);
+  min_args_.resize(nodes_.size());
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    min_args_[n] = Sym(static_cast<int>(n)).min_args;
+  }
+  for (const FileSymbols& fs : *symbols) {
+    for (const Declaration& d : fs.declarations) {
+      auto it = by_name_.find(d.name);
+      if (it == by_name_.end()) continue;
+      const std::string& qual = CanonicalType(d.qualifier);
+      for (const int node : it->second) {
+        const Symbol& s = Sym(node);
+        if (s.lambda_var || s.max_args != d.max_args ||
+            CanonicalType(s.qualifier) != qual) {
+          continue;
+        }
+        min_args_[node] = std::min(min_args_[node], d.min_args);
+      }
+    }
+  }
 }
 
 const std::string& CallGraph::CanonicalType(const std::string& name) const {
@@ -87,7 +106,7 @@ std::vector<int> CallGraph::Resolve(const CallSite& call) const {
   for (const int node : it->second) {
     const Symbol& s = Sym(node);
     // Arity: the call's argument count must be satisfiable.
-    if (call.args < s.min_args) continue;
+    if (call.args < min_args_[node]) continue;
     if (s.max_args >= 0 && call.args > s.max_args) continue;
     if (!call_qual.empty()) {
       // `X::name(...)`: matches X's methods, or a free function when X is

@@ -52,6 +52,9 @@ class CallGraph {
   std::vector<Node> nodes_;
   std::unordered_map<std::string, std::vector<int>> by_name_;
   std::unordered_map<std::string, std::string> aliases_;
+  /// Per node, the fewest arguments a call needs: over the definition and
+  /// every defaulted declaration with the same name, class and arity.
+  std::vector<int> min_args_;
 };
 
 CallGraph BuildCallGraph(const std::vector<LexedFile>& files,

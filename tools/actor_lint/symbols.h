@@ -82,12 +82,26 @@ struct Symbol {
   std::vector<CallSite> calls;  // call sites inside [body_begin, body_end]
 };
 
+/// A function declaration without a body whose parameter list has
+/// defaults — typically a header prototype. The call graph takes the
+/// fewest required arguments over a function's declarations and its
+/// definition, since defaults live only on the declaration.
+struct Declaration {
+  std::string name;
+  std::string qualifier;  // enclosing class / explicit `X::`, or ""
+  int min_args = 0;       // params minus defaulted params
+  int max_args = 0;
+  std::size_t offset = 0;  // byte offset of the name token in `code`
+};
+
 struct FileSymbols {
   std::vector<Symbol> symbols;
+  std::vector<Declaration> declarations;  // outside every symbol body
 };
 
 /// Parses every function/method/lambda-variable definition out of the
-/// lexed `code` view, including the call sites inside each body. Purely
+/// lexed `code` view, including the call sites inside each body, plus the
+/// defaulted declarations outside those bodies. Purely
 /// lexical: no filesystem, no preprocessor, conservative on anything it
 /// cannot parse (skips rather than guesses).
 FileSymbols ExtractSymbols(const LexedFile& f);
